@@ -8,8 +8,8 @@ inline), and writes it under ``benchmarks/output/`` for the record.
 
 Environment knobs:
 
-* ``REPRO_BENCH_JOBS=N`` — fan each experiment's cells out over N worker
-  processes (engine output is byte-identical to serial).
+* ``REPRO_BENCH_JOBS=N`` — fan each experiment's cells out over N
+  supervised worker processes (engine output is byte-identical to serial).
 * ``REPRO_BENCH_CACHE=1`` — reuse/populate the cell cache under
   ``benchmarks/.cache/`` instead of recomputing every cell.
 """

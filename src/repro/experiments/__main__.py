@@ -1,10 +1,11 @@
 """Command-line entry point: ``python -m repro.experiments``.
 
 Runs the requested experiments (default: the full registry, ablations
-included) at the chosen scale, serially or fanned out across supervised
-worker processes, and prints the reproduced tables next to the paper's
-reference values.  ``--jobs N`` output is byte-identical to a serial run:
-cells are independent seeded simulations and merge in declaration order.
+included) at the chosen scale and prints the reproduced tables next to the
+paper's reference values.  Every cell runs in one placement — inline,
+forked from a warm prefix, or on a supervised worker — and every placement
+renders byte-identical tables: cells are independent seeded simulations
+and merge in declaration order.
 
 Usage::
 
@@ -28,17 +29,16 @@ Conventions:
   ``done`` cells via the cache, and re-dispatches the rest (byte-identical
   to an uninterrupted run); ``--retry-failed`` also re-dispatches
   terminally failed cells;
-* ``--timeout`` / ``--max-retries`` supervise cells: a hung or crashed
-  cell is killed, retried with backoff on a fresh worker, and fully
-  journaled instead of aborting the grid;
-* experiments that declare shared-warmup structure simulate each warmup
-  prefix **once** per group and fork their cells from the live warmed-up
-  process (serial runs only; disable with ``--no-warm-start`` — output is
-  byte-identical either way);
-* ``--checkpoint-interval N`` journals a simulation-state digest every N
-  dispatched events per cell; ``--resume`` then replays interrupted cells
-  and verifies every recorded digest, proving the resumed run
-  byte-identical;
+* ``--jobs N`` (N > 1), ``--timeout`` or ``--max-retries`` run cells on
+  the supervised worker pool: a hung or crashed cell is killed, retried
+  with backoff on a fresh worker, and fully journaled instead of aborting
+  the grid;
+* otherwise, experiments that declare shared-warmup structure simulate
+  each warmup prefix **once** per group and fork their cells from the
+  live warmed-up process (disable with ``--no-warm-start`` — output is
+  byte-identical either way), and every other cell runs inline;
+* ``--trace`` / ``--metrics`` / ``--sanitize`` run every cell inline so
+  its simulator can be observed;
 * ``--cache-prune [MB]`` bounds ``benchmarks/.cache/`` (LRU) and
   ``benchmarks/.runs/`` (oldest finished run first) and exits; with
   ``$REPRO_CACHE_MAX_MB`` / ``$REPRO_RUNS_MAX_MB`` set, every run prunes
@@ -174,15 +174,6 @@ def _build_parser() -> argparse.ArgumentParser:
         help="extra attempts for crashed/hung/raising cells (default: 1)",
     )
     parser.add_argument(
-        "--checkpoint-interval",
-        type=int,
-        metavar="EVENTS",
-        help="journal a simulation-state digest every N dispatched events "
-        "per cell (forces serial in-process execution, implies --journal); "
-        "--resume replays interrupted cells and *verifies* every recorded "
-        "digest, so a resumed run is provably byte-identical",
-    )
-    parser.add_argument(
         "--no-warm-start",
         action="store_true",
         help="disable shared-warmup prefix forking: simulate every cell's "
@@ -252,21 +243,10 @@ def main(argv=None) -> int:
         parser.error("--jobs must be >= 1")
     if args.retry_failed and not args.resume:
         parser.error("--retry-failed only makes sense with --resume")
-    if args.checkpoint_interval is not None:
-        if args.checkpoint_interval < 1:
-            parser.error("--checkpoint-interval must be >= 1")
-        if args.trace or args.metrics or args.sanitize:
-            parser.error(
-                "--checkpoint-interval cannot be combined with "
-                "--trace/--metrics/--sanitize (both claim the in-process "
-                "observation slot)"
-            )
 
     cache = None if args.no_cache else CellCache()
     journal = None
     skip_failed = None
-    checkpoint_interval = args.checkpoint_interval
-    resume_checkpoints = None
 
     requested = list(args.names) + list(args.only)
     if args.resume:
@@ -303,24 +283,6 @@ def main(argv=None) -> int:
                 file=sys.stderr,
             )
         journal = RunJournal.attach(args.resume, argv=list(argv or sys.argv[1:]))
-        if state.checkpoint_interval is not None:
-            if (
-                checkpoint_interval is not None
-                and checkpoint_interval != state.checkpoint_interval
-            ):
-                print(
-                    f"[resume: using the journal's --checkpoint-interval "
-                    f"{state.checkpoint_interval} (not {checkpoint_interval}) "
-                    "so replayed cells hit the recorded digest boundaries]",
-                    file=sys.stderr,
-                )
-            checkpoint_interval = state.checkpoint_interval
-        if checkpoint_interval is not None:
-            resume_checkpoints = {}
-            for exp_name, table in state.cells.items():
-                for key, record in table.items():
-                    if record.checkpoints:
-                        resume_checkpoints[(exp_name, key)] = record.checkpoints
         done = sum(len(state.done_keys(name)) for name in state.specs)
         print(
             f"[resume {args.resume}: {len(specs)} experiments, {done} cells "
@@ -335,14 +297,13 @@ def main(argv=None) -> int:
             parser.error(str(error.args[0]))
         scale = _SCALES[args.scale]
         jobs = args.jobs if args.jobs is not None else 1
-        if args.journal or args.run_id or checkpoint_interval is not None:
+        if args.journal or args.run_id:
             journal = RunJournal.create(
                 scale=scale_to_dict(scale),
                 jobs=jobs,
                 specs=[spec.name for spec in specs],
                 run_id=args.run_id,
                 argv=list(argv or sys.argv[1:]),
-                checkpoint_interval=checkpoint_interval,
             )
             print(f"[journal: run {journal.run_id} -> {journal.path}]", file=sys.stderr)
 
@@ -350,52 +311,30 @@ def main(argv=None) -> int:
     if out_dir is not None:
         out_dir.mkdir(parents=True, exist_ok=True)
 
+    supervision_flags = args.timeout is not None or args.max_retries is not None
     observation = None
     if args.trace or args.metrics or args.sanitize:
         from repro.obs.runtime import Observation
         from repro.obs.trace import TraceSink
 
-        if jobs > 1:
+        if jobs > 1 or supervision_flags:
             print(
-                "[observability: --trace/--metrics/--sanitize force --jobs 1 "
-                "(cells must run in-process to be observed)]",
+                "[observability: cells run inline to be observed, so "
+                "--jobs/--timeout/--max-retries are ignored for this run]",
                 file=sys.stderr,
             )
-            jobs = 1
         observation = Observation(
             trace=TraceSink() if args.trace else None,
             metrics=bool(args.metrics),
             sanitize=args.sanitize,
         )
 
-    if checkpoint_interval is not None and jobs > 1:
-        print(
-            "[checkpoint: --checkpoint-interval forces --jobs 1 (cells must "
-            "run in-process to be digested)]",
-            file=sys.stderr,
-        )
-        jobs = 1
-
+    # --jobs N alone gets the engine's default SupervisorConfig.
     supervise = None
-    if checkpoint_interval is not None:
-        if args.timeout is not None or args.max_retries is not None:
-            print(
-                "[checkpoint: cells run in-process, so --timeout/--max-retries "
-                "supervision is disabled for this run]",
-                file=sys.stderr,
-            )
-    elif observation is None and (
-        jobs > 1 or args.timeout is not None or args.max_retries is not None
-    ):
+    if supervision_flags:
         supervise = SupervisorConfig(
             timeout_s=args.timeout,
             max_retries=args.max_retries if args.max_retries is not None else 1,
-        )
-    elif observation is not None and (args.timeout is not None or args.max_retries is not None):
-        print(
-            "[observability: cells run in-process, so --timeout/--max-retries "
-            "supervision is disabled for this run]",
-            file=sys.stderr,
         )
 
     # First SIGINT/SIGTERM: stop dispatching, drain in-flight cells, journal
@@ -445,8 +384,6 @@ def main(argv=None) -> int:
                     should_stop=_should_stop,
                     raise_on_failure=False,
                     warm_start=not args.no_warm_start,
-                    checkpoint_interval=checkpoint_interval,
-                    resume_checkpoints=resume_checkpoints,
                 )
             except Exception:
                 print(f"[{spec.name} FAILED]", file=sys.stderr)

@@ -1,40 +1,49 @@
-"""Experiment executor: runs registered specs serially or across processes.
+"""Experiment executor: one loop that gives every pending cell a placement.
 
-The engine expands each :class:`ExperimentSpec` into its cells, computes
-every cell payload — inline, from the cell cache, or on worker processes —
-and merges payloads back **in cell declaration order**, so ``--jobs N``
-output is byte-identical to a serial run (each cell builds its own seeded
-simulator; nothing is shared).
+The engine expands each :class:`ExperimentSpec` into its cells, serves
+what it can from the cell cache, and computes every other cell in exactly
+one of three placements:
 
-Byte-identity holds across the cache too: every payload, fresh or cached,
-passes through one canonical JSON round-trip before merging (``repr`` of a
-Python float round-trips exactly, so no precision is lost).  The same
-round-trip guards the supervised worker boundary: workers ship payloads as
-canonical JSON text, so a retried, resumed, or cached cell is
-indistinguishable from a fresh serial one.
+* **inline** — in this process, under the caller's
+  :class:`repro.obs.runtime.Observation` when there is one;
+* **warm fork** — forked from its warmup group's live warmed-up prefix
+  (specs declaring a :class:`~repro.experiments.registry.WarmupSpec`);
+* **supervised worker** — a process of the supervised pool: per-cell
+  wall-clock timeouts (scaled by the spec's ``cost_hint`` and the scale's
+  ``timeout_scale``), bounded retry with exponential backoff on a fresh
+  worker, worker-death detection with pool rebuild, and degradation to
+  inline execution when the pool repeatedly fails.
+
+The call picks the placement: an ``observation`` keeps every cell inline;
+``jobs > 1`` or a ``supervise`` config sends them to the pool; otherwise
+cells of a warmup group of two or more fork warm and the rest run inline.
+A warm cell whose fork fails, and a cell a degraded pool leaves behind,
+re-enters the inline runner as its next attempt.  All three runners report
+through one set of helpers (:class:`_Run`), so dispatch, finish, fail and
+stop bookkeeping — journal records, cache writes, failure collection —
+exist once.
+
+Payloads merge back **in cell declaration order**, so every placement
+renders byte-identical tables: each cell builds its own seeded simulator,
+nothing is shared, and a warm fork inherits its prefix's memory exactly.
+Every payload, fresh or cached, passes through one canonical JSON
+round-trip before merging (``repr`` of a Python float round-trips
+exactly), and workers ship payloads as canonical JSON text, so a retried,
+resumed, or cached cell is indistinguishable from a fresh inline one.
 
 Cache keys combine the experiment name, an explicit spec version, a
 fingerprint of the experiment's source files (the defining module plus the
 shared harness modules), the full scale preset, and the cell params —
 editing one experiment module invalidates only its own cells.
 
-Robust execution (the week-long-grid layer) is opt-in per call:
-
-* ``journal`` — a :class:`repro.experiments.journal.RunJournal` receives a
-  state transition per cell (dispatched/done/failed/timeout), making the
-  run crash-safe and resumable;
-* ``supervise`` — a :class:`SupervisorConfig` routes cells through a
-  supervised worker pool: per-cell wall-clock timeouts (scaled by the
-  spec's ``cost_hint`` and the scale's ``timeout_scale``), bounded retry
-  with exponential backoff on a fresh worker, worker-death detection with
-  pool rebuild, and graceful degradation to inline serial execution when
-  the pool repeatedly fails;
-* failures never abort the grid: every failing cell is collected into
-  ``ExecutionReport.failures`` (and re-raised at the end as one aggregate
-  :class:`ExperimentFailure` unless ``raise_on_failure=False``);
-* ``should_stop`` — a callable polled between dispatches; when it turns
-  true the engine stops dispatching, drains in-flight cells, and returns
-  with ``report.interrupted`` set (the CLI's clean-SIGINT path).
+Failing cells never abort the grid: each is collected into
+``ExecutionReport.failures`` (and re-raised at the end as one aggregate
+:class:`ExperimentFailure` unless ``raise_on_failure=False``).  A
+:class:`repro.experiments.journal.RunJournal` receives a state transition
+per attempt (dispatched/done/failed/timeout), making the run crash-safe and
+resumable; ``should_stop`` is polled between dispatches and, once true,
+stops dispatching, drains in-flight cells, and returns with
+``report.interrupted`` set (the CLI's clean-SIGINT path).
 """
 
 from __future__ import annotations
@@ -45,10 +54,8 @@ import os
 import sys
 import time
 from collections import deque
-from concurrent.futures import FIRST_COMPLETED, Executor, ProcessPoolExecutor, wait
-from concurrent.futures.process import BrokenProcessPool
 from dataclasses import asdict, dataclass, field
-from typing import Any, Callable, Dict, List, Optional, Sequence, Set, Tuple, Union
+from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple, Union
 
 from repro.experiments.cache import CellCache
 from repro.experiments.journal import RunJournal, RunState
@@ -150,7 +157,7 @@ def warm_prefix_key(
 
 
 # ----------------------------------------------------------------------
-# cell computation (also the process-pool entry point)
+# cell computation (also the worker-process entry point)
 # ----------------------------------------------------------------------
 def compute_cell(spec_name: str, scale_dict: Dict[str, Any], params: Params) -> Params:
     """Run one cell and return its canonical payload.
@@ -171,6 +178,10 @@ def _unit_label(spec: ExperimentSpec, cell: Cell) -> str:
         return spec.name
     inner = ",".join(f"{key}={params[key]}" for key in sorted(params))
     return f"{spec.name}[{inner}]"
+
+
+def _error_text(exc: BaseException) -> str:
+    return f"{type(exc).__name__}: {exc}"
 
 
 # ----------------------------------------------------------------------
@@ -221,7 +232,7 @@ class SupervisorConfig:
     #: Supervisor poll interval (result wait granularity).
     poll_s: float = 0.05
     #: Consecutive pool failures (spawn errors / worker deaths with no
-    #: intervening success) tolerated before degrading to serial.
+    #: intervening success) tolerated before degrading to inline.
     max_pool_failures: int = 3
 
     def cell_timeout(self, spec: ExperimentSpec, scale: ExperimentScale) -> Optional[float]:
@@ -251,7 +262,7 @@ class ExecutionReport:
     interrupted: bool = False
     #: Spec names whose merge was skipped (missing payloads).
     incomplete: List[str] = field(default_factory=list)
-    #: Supervision tallies (retries, timeouts, worker deaths, …).
+    #: Supervision tallies (retries, timeouts, worker deaths, warm cells, …).
     supervision: Dict[str, int] = field(default_factory=dict)
 
     @property
@@ -276,8 +287,90 @@ def _new_supervision_counters() -> Dict[str, int]:
     }
 
 
-#: One pending cell: (spec_index, cell_index, spec, cell, key-or-None).
-_Slot = Tuple[int, int, ExperimentSpec, Cell, Optional[str]]
+class _Slot:
+    """One pending cell and the attempts made at it so far."""
+
+    __slots__ = ("order", "spec", "cell", "key", "attempts")
+
+    def __init__(self, order: Tuple[int, int], spec: ExperimentSpec, cell: Cell,
+                 key: Optional[str]):
+        #: ``(spec index, cell index)``: the cell's merge position.
+        self.order = order
+        self.spec = spec
+        self.cell = cell
+        self.key = key
+        self.attempts = 0
+
+
+def _in_order(slots: Sequence[_Slot]) -> List[_Slot]:
+    return sorted(slots, key=lambda slot: slot.order)
+
+
+class _Run:
+    """The bookkeeping every placement reports through."""
+
+    def __init__(
+        self,
+        scale: ExperimentScale,
+        cache: Optional[CellCache],
+        journal: Optional[RunJournal],
+        should_stop: Optional[Callable[[], bool]],
+    ):
+        self.scale = scale
+        self.cache = cache
+        self.journal = journal
+        self.should_stop = should_stop
+        self.report = ExecutionReport(supervision=_new_supervision_counters())
+        self.payloads: Dict[Tuple[int, int], Params] = {}
+
+    def stopping(self) -> bool:
+        """Poll ``should_stop``; once it fires, the run stays interrupted."""
+        if not self.report.interrupted and self.should_stop is not None:
+            self.report.interrupted = bool(self.should_stop())
+        return self.report.interrupted
+
+    def tally(self, name: str) -> None:
+        supervision = self.report.supervision
+        supervision[name] = supervision.get(name, 0) + 1
+
+    def dispatch(self, slot: _Slot, worker: str) -> None:
+        """Start the slot's next attempt on ``worker``."""
+        slot.attempts += 1
+        if self.journal is not None and slot.key is not None:
+            self.journal.cell_dispatched(slot.spec.name, slot.key, slot.attempts, worker)
+
+    def finish(self, slot: _Slot, payload: Params, wall_s: float, worker: str) -> None:
+        self.payloads[slot.order] = payload
+        self.report.computed += 1
+        if self.cache is not None and slot.key is not None:
+            self.cache.put(slot.spec.name, slot.key, slot.cell.as_dict(), payload)
+        if self.journal is not None and slot.key is not None:
+            self.journal.cell_done(
+                slot.spec.name, slot.key, slot.attempts, wall_s, worker=worker
+            )
+
+    def fail(self, slot: _Slot, kind: str, error: str, worker: str,
+             final: bool = True) -> None:
+        """Journal a failed attempt; a final one is collected as a failure.
+
+        Timeouts are journaled by the pool itself (with their budget).
+        """
+        if final:
+            self.report.failures.append(
+                CellFailure(
+                    experiment=slot.spec.name,
+                    params=slot.cell.as_dict(),
+                    key=slot.key,
+                    kind=kind,
+                    error=error,
+                    attempts=slot.attempts,
+                )
+            )
+        if self.journal is not None and slot.key is not None and kind != "timeout":
+            self.journal.cell_failed(
+                slot.spec.name, slot.key, slot.attempts, error,
+                kind=kind, final=final, worker=worker,
+            )
 
 
 def execute(
@@ -286,7 +379,6 @@ def execute(
     *,
     jobs: int = 1,
     cache: Optional[CellCache] = None,
-    executor: Optional[Executor] = None,
     cells_override: Optional[Sequence[Cell]] = None,
     observation: Optional[Any] = None,
     journal: Optional[RunJournal] = None,
@@ -295,49 +387,32 @@ def execute(
     should_stop: Optional[Callable[[], bool]] = None,
     raise_on_failure: bool = True,
     warm_start: bool = True,
-    checkpoint_interval: Optional[int] = None,
-    resume_checkpoints: Optional[Dict[Tuple[str, str], List[Dict[str, Any]]]] = None,
 ) -> ExecutionReport:
     """Run ``specs`` and return merged results in the order given.
 
-    ``jobs > 1`` fans cells out across worker processes: on the supervised
-    pool when ``supervise`` is given, else on a private
-    :class:`ProcessPoolExecutor` (or the caller's ``executor``).
+    Each pending cell gets one placement (see the module docstring):
+
+    * ``observation`` (a :class:`repro.obs.runtime.Observation`) keeps
+      every cell inline so its simulator is observable, and skips cache
+      *reads* (a cached payload emits no spans); each cell labels its
+      spans and metrics ``<experiment>[<cell-params>]``.  Recording never
+      perturbs the simulation, so payloads and cache writes are
+      byte-identical to an unobserved run.
+    * ``jobs > 1`` or ``supervise`` runs cells on the supervised pool of
+      ``jobs`` workers (``SupervisorConfig()`` defaults when ``supervise``
+      is not given).
+    * Otherwise, with ``warm_start`` (the default) and ``os.fork``
+      available, cells of a spec's :class:`~repro.experiments.registry.
+      WarmupSpec` group of two or more fork from the group's warmed-up
+      prefix, simulated **once** per group — O(groups × warmup) instead of
+      O(cells × warmup) — and the prefix's state digest is recorded as a
+      cache artifact and verified against prior runs.
+
     ``cells_override`` replaces the cell grid — only valid when running a
-    single spec.
-
-    ``observation`` (a :class:`repro.obs.runtime.Observation`) records the
-    run: every cell is computed serially in-process so its simulator is
-    observable (cache *reads* are bypassed — a cached payload emits no
-    spans — and parallelism/supervision timeouts are ignored), and each
-    cell labels its spans and metrics with ``<experiment>/<cell-params>``.
-    Cache keys and the payloads written back are untouched: recording never
-    perturbs the simulation, so a traced payload is byte-identical to an
-    untraced one.
-
-    ``skip_failed`` maps ``(experiment, cell key)`` to a prior
-    :class:`CellFailure` (from a resumed journal): those cells are not
-    re-dispatched, their failure is re-reported instead (``--retry-failed``
-    clears the map).
-
-    ``warm_start`` (default on) exploits declared shared-warmup structure
-    on the serial path: cells of a :class:`~repro.experiments.registry.
-    WarmupSpec`-carrying spec are grouped by warmup-prefix key, each
-    prefix is simulated **once** per group, and every cell forks from the
-    live warmed-up process — O(groups × warmup) instead of O(cells ×
-    warmup) — with the prefix's state digest recorded as a cache artifact
-    and verified against prior runs.  Fork inherits memory exactly, so a
-    warm cell is byte-identical to a cold one; supervised/pool/observed
-    paths always run cold.
-
-    ``checkpoint_interval`` attaches a
-    :class:`repro.sim.checkpoint.CheckpointObserver` to every simulator a
-    cell builds, journaling a state digest every N events (cells run
-    serially in-process, like observation).  ``resume_checkpoints`` maps
-    ``(experiment, cell key)`` to that cell's recorded checkpoint records
-    from a prior journal: the replayed cell verifies each recorded
-    boundary digest and raises on divergence, so a resumed long cell is
-    *proved* byte-identical, not assumed.
+    single spec.  ``skip_failed`` maps ``(experiment, cell key)`` to a
+    prior :class:`CellFailure` (from a resumed journal): those cells are
+    not re-dispatched, their failure is re-reported instead
+    (``--retry-failed`` clears the map).
 
     Failing cells never abort the grid; they are collected and re-raised
     as one :class:`ExperimentFailure` at the end (or only reported in
@@ -346,15 +421,12 @@ def execute(
     resolved = [get_spec(s) if isinstance(s, str) else s for s in specs]
     if cells_override is not None and len(resolved) != 1:
         raise ValueError("cells_override requires exactly one spec")
-    if checkpoint_interval is not None and observation is not None:
-        raise ValueError("checkpoint_interval cannot be combined with observation")
-    observing = observation is not None
-    bypass_cache = observing and getattr(observation, "bypass_cache", True)
     need_keys = cache is not None or journal is not None or bool(skip_failed)
+    read_cache = cache is not None and observation is None
 
-    report = ExecutionReport(supervision=_new_supervision_counters())
+    run = _Run(scale, cache, journal, should_stop)
+    report = run.report
     plans: List[List[Cell]] = []
-    payloads: Dict[Tuple[int, int], Params] = {}
     pending: List[_Slot] = []
     for spec_index, spec in enumerate(resolved):
         cells = list(cells_override if cells_override is not None else spec.cells(scale))
@@ -371,245 +443,28 @@ def execute(
             if prior is not None:
                 report.failures.append(prior)
                 continue
-            hit = (
-                cache.get(spec.name, key)
-                if cache is not None and not bypass_cache
-                else None
-            )
+            hit = cache.get(spec.name, key) if read_cache else None
             if hit is not None:
-                payloads[(spec_index, cell_index)] = hit
+                run.payloads[(spec_index, cell_index)] = hit
                 report.cached += 1
                 if journal is not None:
                     journal.cell_done(spec.name, key, 0, 0.0, source="cache")
             else:
-                pending.append((spec_index, cell_index, spec, cell, key))
+                pending.append(_Slot((spec_index, cell_index), spec, cell, key))
 
-    scale_dict = scale_to_dict(scale)
-
-    def _finish(slot: _Slot, payload: Params, attempt: int = 1, wall_s: float = 0.0,
-                worker: str = "inline") -> None:
-        spec_index, cell_index, spec, cell, key = slot
-        payloads[(spec_index, cell_index)] = payload
-        report.computed += 1
-        if cache is not None and key is not None:
-            cache.put(spec.name, key, cell.as_dict(), payload)
-        if journal is not None and key is not None:
-            journal.cell_done(spec.name, key, attempt, wall_s, worker=worker)
-
-    def _fail(slot: _Slot, kind: str, error: str, attempts: int,
-              worker: str = "inline") -> None:
-        spec_index, cell_index, spec, cell, key = slot
-        report.failures.append(
-            CellFailure(
-                experiment=spec.name,
-                params=cell.as_dict(),
-                key=key,
-                kind=kind,
-                error=error,
-                attempts=attempts,
+    inline = pending
+    if observation is None and pending:
+        if jobs > 1 or supervise is not None:
+            inline = _run_supervised(
+                run, pending, max(1, jobs), supervise or SupervisorConfig()
             )
-        )
-        if journal is not None and key is not None and kind != "timeout":
-            journal.cell_failed(
-                spec.name, key, attempts, error, kind=kind, final=True, worker=worker
-            )
-
-    def _run_inline(slots: Sequence[_Slot], label: str = "inline") -> None:
-        """Serial in-process execution with journaling + failure capture."""
-        for position, slot in enumerate(slots):
-            if should_stop is not None and should_stop():
-                report.interrupted = True
-                report.skipped += len(slots) - position
-                return
-            spec, cell, key = slot[2], slot[3], slot[4]
-            if journal is not None and key is not None:
-                journal.cell_dispatched(spec.name, key, 1, label)
-            started = time.perf_counter()  # repro: allow[REP001] reason=host-side cell timing for the journal, never feeds the simulation
-            try:
-                payload = _canonical(spec.cell_fn(scale, cell.as_dict()))
-            except Exception as exc:
-                _fail(slot, "exception", f"{type(exc).__name__}: {exc}", 1, label)
-                continue
-            wall_s = time.perf_counter() - started  # repro: allow[REP001] reason=host-side cell timing for the journal, never feeds the simulation
-            _finish(slot, payload, 1, wall_s, label)
-
-    def _run_checkpointed(slots: Sequence[_Slot]) -> None:
-        """Serial execution with periodic state digests journaled per cell.
-
-        Each cell runs under a private :class:`Observation` whose only job
-        is attaching a :class:`repro.sim.checkpoint.CheckpointObserver`
-        to every simulator the cell builds.  On resume, the recorded
-        digests become ``expect`` values — the replay raises the moment
-        it diverges from the original run.
-        """
-        from repro.obs import runtime as obs_runtime
-        from repro.sim.checkpoint import CheckpointObserver
-
-        for position, slot in enumerate(slots):
-            if should_stop is not None and should_stop():
-                report.interrupted = True
-                report.skipped += len(slots) - position
-                return
-            spec, cell, key = slot[2], slot[3], slot[4]
-            if journal is not None and key is not None:
-                journal.cell_dispatched(spec.name, key, 1, "inline-ckpt")
-            recorded = (
-                resume_checkpoints.get((spec.name, key), [])
-                if resume_checkpoints and key is not None
-                else []
-            )
-            # Cells may build several simulators; expectations are keyed
-            # by build order (the ``sim`` index of the journal record).
-            expect_by_sim: Dict[int, Dict[int, str]] = {}
-            for record in recorded:
-                expect_by_sim.setdefault(int(record.get("sim", 0)), {})[
-                    int(record["events"])
-                ] = str(record["digest"])
-            sim_serial = [0]
-
-            def _hook(unit: str, system: Any, _spec=spec, _key=key,
-                      _expect=expect_by_sim, _serial=sim_serial) -> None:
-                index = _serial[0]
-                _serial[0] += 1
-
-                def _record(cp: Dict[str, Any], _index=index) -> None:
-                    if journal is not None and _key is not None:
-                        journal.cell_checkpoint(
-                            _spec.name,
-                            _key,
-                            cp["events"],
-                            cp["sim_time"],
-                            cp["digest"],
-                            sim_index=_index,
-                        )
-
-                system.sim.attach(
-                    CheckpointObserver(
-                        system,
-                        interval=checkpoint_interval,
-                        on_checkpoint=_record,
-                        expect=_expect.get(index),
-                    )
-                )
-
-            probe = obs_runtime.Observation(on_system=_hook)
-            probe.bypass_cache = False
-            obs_runtime.activate(probe)
-            started = time.perf_counter()  # repro: allow[REP001] reason=host-side cell timing for the journal, never feeds the simulation
-            try:
-                payload = _canonical(spec.cell_fn(scale, cell.as_dict()))
-            except Exception as exc:
-                _fail(slot, "exception", f"{type(exc).__name__}: {exc}", 1,
-                      "inline-ckpt")
-                continue
-            finally:
-                obs_runtime.deactivate()
-            wall_s = time.perf_counter() - started  # repro: allow[REP001] reason=host-side cell timing for the journal, never feeds the simulation
-            _finish(slot, payload, 1, wall_s, "inline-ckpt")
-
-    if observing:
-        from repro.obs import runtime as obs_runtime
-
-        obs_runtime.activate(observation)
-        try:
-            for position, slot in enumerate(pending):
-                if should_stop is not None and should_stop():
-                    report.interrupted = True
-                    report.skipped += len(pending) - position
-                    break
-                spec, cell, key = slot[2], slot[3], slot[4]
-                observation.set_unit(_unit_label(spec, cell))
-                if journal is not None and key is not None:
-                    journal.cell_dispatched(spec.name, key, 1, "inline")
-                started = time.perf_counter()  # repro: allow[REP001] reason=host-side cell timing for the journal, never feeds the simulation
-                try:
-                    payload = _canonical(spec.cell_fn(scale, cell.as_dict()))
-                except Exception as exc:
-                    _fail(slot, "exception", f"{type(exc).__name__}: {exc}", 1)
-                    continue
-                wall_s = time.perf_counter() - started  # repro: allow[REP001] reason=host-side cell timing for the journal, never feeds the simulation
-                _finish(slot, payload, 1, wall_s)
-        finally:
-            observation.set_unit(None)
-            obs_runtime.deactivate()
-    elif pending and checkpoint_interval is not None:
-        _run_checkpointed(pending)
-    elif pending and supervise is not None:
-        _run_supervised(
-            pending,
-            scale,
-            scale_dict,
-            max(1, jobs),
-            supervise,
-            journal,
-            report,
-            _finish,
-            _fail,
-            _run_inline,
-            should_stop,
-        )
-    elif pending and (jobs > 1 or executor is not None) and len(pending) > 1:
-        pool = executor
-        owned = pool is None
-        if owned:
-            pool = ProcessPoolExecutor(max_workers=max(1, jobs))
-        fallback: List[_Slot] = []
-        try:
-            futures = {}
-            for slot in pending:
-                spec, cell, key = slot[2], slot[3], slot[4]
-                if journal is not None and key is not None:
-                    journal.cell_dispatched(spec.name, key, 1, "pool")
-                futures[
-                    pool.submit(compute_cell, spec.name, scale_dict, cell.as_dict())
-                ] = slot
-            remaining = set(futures)
-            broken = False
-            while remaining and not broken:
-                done, remaining = wait(remaining, return_when=FIRST_COMPLETED)
-                for future in done:
-                    slot = futures[future]
-                    try:
-                        _finish(slot, future.result(), 1, 0.0, "pool")
-                    except BrokenProcessPool:
-                        # The pool lost a worker: every unfinished cell is
-                        # gone with it.  Degrade the remainder to serial.
-                        broken = True
-                        fallback.append(slot)
-                    except Exception as exc:
-                        _fail(
-                            slot, "exception", f"{type(exc).__name__}: {exc}", 1, "pool"
-                        )
-            if broken:
-                for future in remaining:
-                    future.cancel()
-                fallback.extend(
-                    futures[future] for future in futures if not future.done()
-                )
-                report.supervision["degraded_serial"] = 1
-                if journal is not None:
-                    journal.note("degraded_serial", reason="broken process pool")
-        finally:
-            if owned:
-                pool.shutdown()
-        if fallback:
-            ordered = sorted(fallback, key=lambda slot: (slot[0], slot[1]))
-            _run_inline(ordered)
-    elif (
-        pending
-        and warm_start
-        and hasattr(os, "fork")
-        and any(slot[2].warmup is not None for slot in pending)
-    ):
-        _run_warm_start(
-            pending, scale, cache, journal, report, _finish, _run_inline, should_stop
-        )
-    else:
-        _run_inline(pending)
+        elif warm_start and hasattr(os, "fork"):
+            inline = _run_warm(run, pending)
+    _run_inline(run, inline, observation)
 
     for spec_index, spec in enumerate(resolved):
         ordered = [
-            payloads.get((spec_index, i)) for i in range(len(plans[spec_index]))
+            run.payloads.get((spec_index, i)) for i in range(len(plans[spec_index]))
         ]
         if any(payload is None for payload in ordered):
             report.incomplete.append(spec.name)
@@ -621,11 +476,151 @@ def execute(
 
 
 # ----------------------------------------------------------------------
-# shared-warmup fork executor
+# inline placement
 # ----------------------------------------------------------------------
+def _run_inline(run: _Run, slots: Sequence[_Slot], observation: Optional[Any]) -> None:
+    """Compute ``slots`` in this process, one at a time, in the order given."""
+    if not slots:
+        return
+    if observation is not None:
+        from repro.obs import runtime as obs_runtime
+
+        obs_runtime.activate(observation)
+    try:
+        for position, slot in enumerate(slots):
+            if run.stopping():
+                run.report.skipped += len(slots) - position
+                return
+            if observation is not None:
+                observation.set_unit(_unit_label(slot.spec, slot.cell))
+            run.dispatch(slot, "inline")
+            started = time.perf_counter()  # repro: allow[REP001] reason=host-side cell timing for the journal, never feeds the simulation
+            try:
+                payload = _canonical(slot.spec.cell_fn(run.scale, slot.cell.as_dict()))
+            except Exception as exc:
+                run.fail(slot, "exception", _error_text(exc), "inline")
+                continue
+            wall_s = time.perf_counter() - started  # repro: allow[REP001] reason=host-side cell timing for the journal, never feeds the simulation
+            run.finish(slot, payload, wall_s, "inline")
+    finally:
+        if observation is not None:
+            observation.set_unit(None)
+            obs_runtime.deactivate()
+
+
+# ----------------------------------------------------------------------
+# warm-fork placement
+# ----------------------------------------------------------------------
+def _run_warm(run: _Run, pending: Sequence[_Slot]) -> List[_Slot]:
+    """Fork every warmup group of two or more cells from its live prefix.
+
+    Cells are grouped by warmup-prefix params within their spec; each
+    group runs through a forked leader that simulates the prefix once.
+    Returns, in declaration order, what still needs the inline runner:
+    cells without a group to share, cells whose warm attempt failed (each
+    journaled as a non-final failure, so the inline rerun is its next
+    attempt), and groups a stop request left unstarted.  Warm start can
+    therefore only save time, never lose results.
+    """
+    groups: Dict[Tuple[int, str], Tuple[Params, List[_Slot]]] = {}
+    leftover: List[_Slot] = []
+    for slot in pending:
+        warmup = slot.spec.warmup
+        if warmup is None:
+            leftover.append(slot)
+            continue
+        params = _canonical(warmup.group(slot.cell.as_dict()))
+        group_id = (slot.order[0], json.dumps(params, sort_keys=True))
+        groups.setdefault(group_id, (params, []))[1].append(slot)
+    warm: List[Tuple[Params, List[_Slot]]] = []
+    for group_id in sorted(groups):
+        params, slots = groups[group_id]
+        # A prefix shared by one cell saves nothing; run it inline.
+        if len(slots) > 1:
+            warm.append((params, slots))
+        else:
+            leftover.extend(slots)
+
+    for serial, (params, slots) in enumerate(warm, start=1):
+        if run.stopping():
+            leftover.extend(slot for _, rest in warm[serial - 1:] for slot in rest)
+            break
+        worker = f"warm-g{serial}"
+        for slot in slots:
+            run.dispatch(slot, worker)
+        records = _fork_group(run.scale, params, slots)
+        if records is None:
+            for slot in slots:
+                run.fail(slot, "worker-died", "warm group leader could not fork",
+                         worker, final=False)
+            leftover.extend(slots)
+            continue
+        run.tally("warm_groups")
+        spec = slots[0].spec
+        got: Dict[int, Dict[str, Any]] = {}
+        for record in records:
+            kind = record.get("kind")
+            if kind == "prefix" and "digest" in record:
+                _verify_prefix_artifact(run, spec, params, record)
+            elif kind == "prefix-error":
+                if run.journal is not None:
+                    run.journal.note(
+                        "warm_prefix_failed",
+                        experiment=spec.name,
+                        key=warm_prefix_key(spec, run.scale, params),
+                        error=record.get("error", "?"),
+                    )
+            elif kind == "cell":
+                got[int(record.get("index", -1))] = record
+        for index, slot in enumerate(slots):
+            record = got.get(index)
+            if record is not None and record.get("ok"):
+                run.tally("warm_cells")
+                run.finish(slot, record["payload"], float(record.get("wall_s", 0.0)), worker)
+            elif record is not None:
+                run.fail(slot, "exception", record.get("error", "?"), worker, final=False)
+                leftover.append(slot)
+            else:
+                run.fail(slot, "worker-died", "warm group leader died before reporting",
+                         worker, final=False)
+                leftover.append(slot)
+    return _in_order(leftover)
+
+
+def _fork_group(
+    scale: ExperimentScale, group_params: Params, slots: Sequence[_Slot]
+) -> Optional[List[Dict[str, Any]]]:
+    """Run one warm group in a forked leader; return its reported records.
+
+    ``None`` when the leader could not be forked.
+    """
+    try:
+        read_fd, write_fd = os.pipe()
+    except OSError:
+        return None
+    try:
+        pid = os.fork()
+    except OSError:
+        os.close(read_fd)
+        os.close(write_fd)
+        return None
+    if pid == 0:
+        os.close(read_fd)
+        _warm_leader(write_fd, scale, group_params, slots)  # never returns
+    os.close(write_fd)
+    records: List[Dict[str, Any]] = []
+    with os.fdopen(read_fd, "r") as stream:
+        for line in stream:
+            try:
+                records.append(json.loads(line))
+            except ValueError:
+                continue
+    os.waitpid(pid, 0)
+    return records
+
+
 def _warm_leader(
     write_fd: int,
-    spec: ExperimentSpec,
     scale: ExperimentScale,
     group_params: Params,
     slots: Sequence[_Slot],
@@ -640,6 +635,7 @@ def _warm_leader(
     and the leader's memory image stays pristine between forks.
     """
     stream = os.fdopen(write_fd, "w")
+    warmup = slots[0].spec.warmup
 
     def _emit(record: Dict[str, Any]) -> None:
         stream.write(json.dumps(record) + "\n")
@@ -647,21 +643,16 @@ def _warm_leader(
 
     try:
         try:
-            ctx = spec.warmup.prefix(scale, dict(group_params))
+            ctx = warmup.prefix(scale, dict(group_params))
         except Exception as exc:
-            _emit({"kind": "prefix-error", "error": f"{type(exc).__name__}: {exc}"})
+            _emit({"kind": "prefix-error", "error": _error_text(exc)})
             return
         prefix_record: Dict[str, Any] = {"kind": "prefix"}
         system = ctx.get("system") if isinstance(ctx, dict) else None
         if system is not None:
             from repro.sim.checkpoint import snapshot_system
 
-            snap = snapshot_system(
-                system, recipe={"experiment": spec.name, "group": group_params}
-            )
-            prefix_record.update(
-                events=snap.events, sim_time=snap.sim_time, digest=snap.digest
-            )
+            prefix_record.update(snapshot_system(system))
         _emit(prefix_record)
         for index, slot in enumerate(slots):
             read_fd, child_fd = os.pipe()
@@ -672,36 +663,17 @@ def _warm_leader(
                 status = 0
                 try:
                     started = time.perf_counter()  # repro: allow[REP001] reason=host-side cell timing for the journal, never feeds the simulation
-                    payload = _canonical(
-                        spec.warmup.finish(scale, slot[3].as_dict(), ctx)
-                    )
+                    payload = _canonical(warmup.finish(scale, slot.cell.as_dict(), ctx))
                     wall_s = time.perf_counter() - started  # repro: allow[REP001] reason=host-side cell timing, never feeds the simulation
-                    child_out.write(
-                        json.dumps(
-                            {
-                                "kind": "cell",
-                                "index": index,
-                                "ok": True,
-                                "payload": payload,
-                                "wall_s": wall_s,
-                            }
-                        )
-                        + "\n"
-                    )
+                    record = {"kind": "cell", "index": index, "ok": True,
+                              "payload": payload, "wall_s": wall_s}
+                    child_out.write(json.dumps(record) + "\n")
                     child_out.flush()
                 except BaseException as exc:  # noqa: BLE001 — child must report, not unwind
                     try:
-                        child_out.write(
-                            json.dumps(
-                                {
-                                    "kind": "cell",
-                                    "index": index,
-                                    "ok": False,
-                                    "error": f"{type(exc).__name__}: {exc}",
-                                }
-                            )
-                            + "\n"
-                        )
+                        record = {"kind": "cell", "index": index, "ok": False,
+                                  "error": _error_text(exc)}
+                        child_out.write(json.dumps(record) + "\n")
                         child_out.flush()
                     except BaseException:  # noqa: BLE001
                         status = 1
@@ -731,145 +703,21 @@ def _warm_leader(
         os._exit(0)
 
 
-def _run_warm_start(
-    pending: Sequence[_Slot],
-    scale: ExperimentScale,
-    cache: Optional[CellCache],
-    journal: Optional[RunJournal],
-    report: ExecutionReport,
-    _finish: Callable[..., None],
-    _run_inline: Callable[..., None],
-    should_stop: Optional[Callable[[], bool]],
-) -> None:
-    """Serial path with shared-warmup groups forked from live prefixes.
-
-    Cells whose spec declares a :class:`~repro.experiments.registry.
-    WarmupSpec` are grouped by warmup-prefix key; each group ≥ 2 cells
-    runs through a forked leader that simulates the prefix once.  Cells
-    without warmup structure — and any cell whose warm payload goes
-    missing (leader or grandchild death) — run cold inline, so warm
-    start can only save time, never lose results.
-    """
-    groups: Dict[Tuple[int, str], List[_Slot]] = {}
-    group_params: Dict[Tuple[int, str], Params] = {}
-    cold: List[_Slot] = []
-    for slot in pending:
-        spec = slot[2]
-        if spec.warmup is None:
-            cold.append(slot)
-            continue
-        params = _canonical(spec.warmup.group(slot[3].as_dict()))
-        group_id = (slot[0], json.dumps(params, sort_keys=True))
-        groups.setdefault(group_id, []).append(slot)
-        group_params[group_id] = params
-    # A prefix shared by one cell saves nothing; run it cold.
-    warm_groups = {gid: slots for gid, slots in groups.items() if len(slots) > 1}
-    for gid, slots in groups.items():
-        if gid not in warm_groups:
-            cold.extend(slots)
-    cold.sort(key=lambda slot: (slot[0], slot[1]))
-
-    fallback: List[_Slot] = []
-    for serial, (gid, slots) in enumerate(sorted(warm_groups.items()), start=1):
-        if should_stop is not None and should_stop():
-            report.interrupted = True
-            report.skipped += sum(
-                len(s) for g, s in sorted(warm_groups.items()) if g >= gid
-            )
-            break
-        spec = slots[0][2]
-        params = group_params[gid]
-        worker = f"warm-g{serial}"
-        prefix_key = warm_prefix_key(spec, scale, params)
-        if journal is not None:
-            for slot in slots:
-                if slot[4] is not None:
-                    journal.cell_dispatched(spec.name, slot[4], 1, worker)
-        try:
-            read_fd, write_fd = os.pipe()
-            pid = os.fork()
-        except OSError:
-            fallback.extend(slots)
-            continue
-        if pid == 0:
-            os.close(read_fd)
-            _warm_leader(write_fd, spec, scale, params, slots)  # never returns
-        os.close(write_fd)
-        records: List[Dict[str, Any]] = []
-        with os.fdopen(read_fd, "r") as stream:
-            for line in stream:
-                try:
-                    records.append(json.loads(line))
-                except ValueError:
-                    continue
-        os.waitpid(pid, 0)
-
-        report.supervision["warm_groups"] = (
-            report.supervision.get("warm_groups", 0) + 1
-        )
-        got: Dict[int, Dict[str, Any]] = {}
-        for record in records:
-            kind = record.get("kind")
-            if kind == "prefix" and "digest" in record:
-                _verify_prefix_artifact(
-                    cache, journal, spec, prefix_key, params, scale, record
-                )
-            elif kind == "prefix-error":
-                if journal is not None:
-                    journal.note(
-                        "warm_prefix_failed",
-                        experiment=spec.name,
-                        key=prefix_key,
-                        error=record.get("error", "?"),
-                    )
-            elif kind == "cell":
-                got[int(record.get("index", -1))] = record
-        for index, slot in enumerate(slots):
-            record = got.get(index)
-            if record is not None and record.get("ok"):
-                report.supervision["warm_cells"] = (
-                    report.supervision.get("warm_cells", 0) + 1
-                )
-                _finish(
-                    slot,
-                    record["payload"],
-                    1,
-                    float(record.get("wall_s", 0.0)),
-                    worker,
-                )
-            else:
-                # Died or raised warm: rerun cold so a real workload error
-                # surfaces through the ordinary failure path.
-                fallback.append(slot)
-
-    if fallback:
-        # _run_inline re-checks should_stop per slot, so a drain-and-stop
-        # request still short-circuits the cold remainder.
-        fallback.sort(key=lambda slot: (slot[0], slot[1]))
-        _run_inline(fallback, "inline-warm-fallback")
-    _run_inline(cold)
-
-
 def _verify_prefix_artifact(
-    cache: Optional[CellCache],
-    journal: Optional[RunJournal],
-    spec: ExperimentSpec,
-    prefix_key: str,
-    group_params: Params,
-    scale: ExperimentScale,
-    record: Dict[str, Any],
+    run: _Run, spec: ExperimentSpec, group_params: Params, record: Dict[str, Any]
 ) -> None:
     """Record a warmup prefix's digest; shout if it drifted from a prior run."""
-    if cache is None:
+    if run.cache is None:
         return
+    prefix_key = warm_prefix_key(spec, run.scale, group_params)
     artifact = {
         "events": record.get("events"),
         "sim_time": record.get("sim_time"),
         "digest": record.get("digest"),
         "group": group_params,
-        "scale": scale_to_dict(scale),
+        "scale": scale_to_dict(run.scale),
     }
-    prior = cache.get_prefix(spec.name, prefix_key)
+    prior = run.cache.get_prefix(spec.name, prefix_key)
     if prior is not None and prior.get("digest") == artifact["digest"]:
         return
     if prior is not None:
@@ -879,25 +727,25 @@ def _verify_prefix_artifact(
             f"{str(artifact['digest'])[:16]}…"
         )
         sys.stderr.write(f"warning: {message}\n")
-        if journal is not None:
-            journal.note(
+        if run.journal is not None:
+            run.journal.note(
                 "warm_prefix_divergence",
                 experiment=spec.name,
                 key=prefix_key,
                 recorded=prior.get("digest"),
                 observed=artifact["digest"],
             )
-    cache.put_prefix(spec.name, prefix_key, artifact)
+    run.cache.put_prefix(spec.name, prefix_key, artifact)
 
 
 # ----------------------------------------------------------------------
-# supervised worker pool
+# supervised-worker placement
 # ----------------------------------------------------------------------
 def _supervised_worker(worker_id: str, task_queue: Any, result_queue: Any) -> None:
     """Worker loop: compute cells until handed ``None``.
 
     Payloads travel back as canonical JSON text, so the parent's
-    ``json.loads`` reproduces the exact bytes a serial run would merge.
+    ``json.loads`` reproduces the exact bytes an inline run would merge.
     """
     while True:
         item = task_queue.get()
@@ -909,27 +757,24 @@ def _supervised_worker(worker_id: str, task_queue: Any, result_queue: Any) -> No
             payload = compute_cell(spec_name, scale_dict, params)
         except Exception as exc:
             wall_s = time.perf_counter() - started  # repro: allow[REP001] reason=host-side cell timing, never feeds the simulation
-            result_queue.put(
-                (task_id, attempt, False, f"{type(exc).__name__}: {exc}", wall_s)
-            )
+            result_queue.put((task_id, attempt, False, _error_text(exc), wall_s))
         else:
             wall_s = time.perf_counter() - started  # repro: allow[REP001] reason=host-side cell timing, never feeds the simulation
             result_queue.put((task_id, attempt, True, json.dumps(payload), wall_s))
 
 
 class _Task:
-    __slots__ = ("task_id", "slot", "attempts", "timeout_s", "finished")
+    __slots__ = ("task_id", "slot", "timeout_s", "finished")
 
     def __init__(self, task_id: int, slot: _Slot, timeout_s: Optional[float]):
         self.task_id = task_id
         self.slot = slot
-        self.attempts = 0
         self.timeout_s = timeout_s
         self.finished = False
 
     @property
     def label(self) -> str:
-        return _unit_label(self.slot[2], self.slot[3])
+        return _unit_label(self.slot.spec, self.slot.cell)
 
 
 class _WorkerHandle:
@@ -971,31 +816,29 @@ class _WorkerHandle:
 
 
 def _run_supervised(
-    pending: Sequence[_Slot],
-    scale: ExperimentScale,
-    scale_dict: Dict[str, Any],
-    jobs: int,
-    cfg: SupervisorConfig,
-    journal: Optional[RunJournal],
-    report: ExecutionReport,
-    _finish: Callable[..., None],
-    _fail: Callable[..., None],
-    _run_inline: Callable[..., None],
-    should_stop: Optional[Callable[[], bool]],
-) -> None:
-    """Dispatch ``pending`` onto a supervised pool of worker processes."""
+    run: _Run, pending: Sequence[_Slot], jobs: int, cfg: SupervisorConfig
+) -> List[_Slot]:
+    """Dispatch ``pending`` onto a supervised pool of worker processes.
+
+    Returns, in declaration order, the cells the pool did not settle:
+    those a stop request left undispatched, or — when the pool degraded —
+    every unfinished one, for the inline runner to take over as their
+    next attempt.
+    """
     import multiprocessing
     import queue as queue_mod
 
     ctx = multiprocessing.get_context()
     result_queue = ctx.Queue()
-    counters = report.supervision
+    counters = run.report.supervision
+    journal = run.journal
+    scale_dict = scale_to_dict(run.scale)
 
     tasks: Dict[int, _Task] = {}
     ready: deque = deque()
     waiting: List[Tuple[float, int]] = []  # (eligible_at, task_id)
     for task_id, slot in enumerate(pending):
-        tasks[task_id] = _Task(task_id, slot, cfg.cell_timeout(slot[2], scale))
+        tasks[task_id] = _Task(task_id, slot, cfg.cell_timeout(slot.spec, run.scale))
         ready.append(task_id)
 
     workers: List[_WorkerHandle] = []
@@ -1023,33 +866,23 @@ def _run_supervised(
         if handle in workers:
             workers.remove(handle)
 
-    def settle_success(task: _Task, payload_text: str, attempt: int, wall_s: float,
-                       worker: str) -> None:
+    def settle_success(task: _Task, payload_text: str, wall_s: float, worker: str) -> None:
         nonlocal unfinished, pool_failures
         task.finished = True
         unfinished -= 1
         pool_failures = 0
-        _finish(task.slot, json.loads(payload_text), attempt, wall_s, worker)
-
-    def settle_failure(task: _Task, kind: str, error: str, worker: str) -> None:
-        nonlocal unfinished
-        task.finished = True
-        unfinished -= 1
-        _fail(task.slot, kind, error, task.attempts, worker)
+        run.finish(task.slot, json.loads(payload_text), wall_s, worker)
 
     def retry_or_fail(task: _Task, kind: str, error: str, worker: str) -> None:
-        spec, key = task.slot[2], task.slot[4]
-        final = task.attempts > cfg.max_retries or interrupted
-        if journal is not None and key is not None and kind != "timeout":
-            journal.cell_failed(
-                spec.name, key, task.attempts, error, kind=kind,
-                final=final, worker=worker,
-            )
+        nonlocal unfinished
+        final = task.slot.attempts > cfg.max_retries or interrupted
+        run.fail(task.slot, kind, error, worker, final=final)
         if final:
-            settle_failure(task, kind, error, worker)
+            task.finished = True
+            unfinished -= 1
         else:
             counters["retries"] += 1
-            backoff = cfg.backoff_s * (2 ** (task.attempts - 1))
+            backoff = cfg.backoff_s * (2 ** (task.slot.attempts - 1))
             waiting.append((_monotonic() + backoff, task.task_id))
 
     def handle_worker_loss(handle: _WorkerHandle, kind: str, error: str) -> None:
@@ -1069,18 +902,16 @@ def _run_supervised(
 
     try:
         while unfinished > 0:
-            if should_stop is not None and not interrupted and should_stop():
+            if not interrupted and run.stopping():
                 interrupted = True
-                report.interrupted = True
                 if journal is not None:
                     journal.note("signal", action="drain in-flight, stop dispatching")
-                # Abandon everything not yet on a worker; it stays
-                # pending in the journal for --resume.
-                abandoned = len(ready) + len(waiting)
+                # Abandon everything not yet on a worker: the inline runner
+                # counts it skipped, and it stays pending in the journal
+                # for --resume.
+                unfinished -= len(ready) + len(waiting)
                 ready.clear()
                 waiting.clear()
-                report.skipped += abandoned
-                unfinished -= abandoned
 
             now = _monotonic()
 
@@ -1094,8 +925,8 @@ def _run_supervised(
                         still_waiting.append((eligible_at, task_id))
                 waiting[:] = still_waiting
 
-            # Degrade to serial when the pool keeps failing.
-            if pool_failures > cfg.max_pool_failures and not degraded:
+            # Degrade to inline when the pool keeps failing.
+            if pool_failures > cfg.max_pool_failures:
                 degraded = True
                 break
 
@@ -1112,36 +943,26 @@ def _run_supervised(
                     if handle is None:
                         break
                 task = tasks[ready[0]]
-                task.attempts += 1
+                slot = task.slot
                 try:
                     handle.task_queue.put(
-                        (
-                            task.task_id,
-                            task.attempts,
-                            task.slot[2].name,
-                            scale_dict,
-                            task.slot[3].as_dict(),
-                        )
+                        (task.task_id, slot.attempts + 1, slot.spec.name,
+                         scale_dict, slot.cell.as_dict())
                     )
                 except Exception:
-                    task.attempts -= 1
                     handle.kill()
                     retire(handle)
                     pool_failures += 1
                     counters["pool_rebuilds"] += 1
                     continue
                 ready.popleft()
+                run.dispatch(slot, handle.worker_id)
                 handle.task = task
-                handle.attempt = task.attempts
+                handle.attempt = slot.attempts
                 handle.deadline = (
                     now + task.timeout_s if task.timeout_s is not None else None
                 )
                 counters["dispatched"] += 1
-                spec, key = task.slot[2], task.slot[4]
-                if journal is not None and key is not None:
-                    journal.cell_dispatched(
-                        spec.name, key, task.attempts, handle.worker_id
-                    )
 
             if unfinished <= 0:
                 break
@@ -1164,8 +985,8 @@ def _run_supervised(
                         # A success is a success even if this attempt was
                         # already abandoned: the payload is a pure function
                         # of the cell, so the bytes are identical.
-                        settle_success(task, body, attempt, wall_s, worker_id)
-                    elif attempt == task.attempts:
+                        settle_success(task, body, wall_s, worker_id)
+                    elif attempt == task.slot.attempts:
                         retry_or_fail(task, "exception", body, worker_id)
                     # else: stale failure from an abandoned attempt; the
                     # retry is already scheduled.
@@ -1193,12 +1014,11 @@ def _run_supervised(
                     task = handle.task
                     counters["timeouts"] += 1
                     counters["pool_rebuilds"] += 1
-                    spec, key = task.slot[2], task.slot[4]
-                    final = task.attempts > cfg.max_retries or interrupted
-                    if journal is not None and key is not None:
+                    final = task.slot.attempts > cfg.max_retries or interrupted
+                    if journal is not None and task.slot.key is not None:
                         journal.cell_timeout(
-                            spec.name, key, task.attempts, task.timeout_s,
-                            final, handle.worker_id,
+                            task.slot.spec.name, task.slot.key, task.slot.attempts,
+                            task.timeout_s, final, handle.worker_id,
                         )
                     handle.kill()
                     handle_worker_loss(
@@ -1221,11 +1041,7 @@ def _run_supervised(
                 "degraded_serial",
                 reason=f"pool failed {pool_failures} times in a row",
             )
-        leftovers = sorted(
-            (task.slot for task in tasks.values() if not task.finished),
-            key=lambda slot: (slot[0], slot[1]),
-        )
-        _run_inline(leftovers, "inline-degraded")
+    return _in_order([task.slot for task in tasks.values() if not task.finished])
 
 
 # ----------------------------------------------------------------------
@@ -1303,7 +1119,6 @@ def run_spec(
     *,
     jobs: int = 1,
     cache: Optional[CellCache] = None,
-    executor: Optional[Executor] = None,
     cells: Optional[Sequence[Cell]] = None,
     observation: Optional[Any] = None,
 ) -> ExperimentResult:
@@ -1313,7 +1128,6 @@ def run_spec(
         scale,
         jobs=jobs,
         cache=cache,
-        executor=executor,
         cells_override=cells,
         observation=observation,
     ).results[0]
@@ -1325,10 +1139,7 @@ def run_specs(
     *,
     jobs: int = 1,
     cache: Optional[CellCache] = None,
-    executor: Optional[Executor] = None,
     observation: Optional[Any] = None,
 ) -> List[ExperimentResult]:
     """Run several experiments; results follow the requested order."""
-    return execute(
-        specs, scale, jobs=jobs, cache=cache, executor=executor, observation=observation
-    ).results
+    return execute(specs, scale, jobs=jobs, cache=cache, observation=observation).results

@@ -3,9 +3,10 @@
 Every journaled run owns one directory under ``benchmarks/.runs/<run_id>/``
 holding a single ``journal.jsonl`` manifest.  The journal is *append-only*:
 the run header, the resolved cell set of every experiment (cell keys +
-params + source fingerprint), and a state transition per cell
+params + source fingerprint), and a state transition per cell attempt
 (``dispatched -> done | failed | timeout``, with attempt count, wall time,
-and worker id) are each one JSON line written with a single ``O_APPEND``
+and worker id; a failed attempt that will be retried is marked non-final)
+are each one JSON line written with a single ``O_APPEND``
 ``write()`` — a ``kill -9`` at any instant leaves at worst one torn final
 line, which :func:`load_state` tolerates.  Critical records (header, cell
 sets, failures, timeouts, run end) are additionally ``fsync``\\ ed so they
@@ -14,12 +15,6 @@ records (``dispatched``/``done``) skip the fsync — the OS already has the
 bytes, and a process kill cannot lose them — so journaling stays off the
 hot path (see ``benchmarks/perf.py --overhead-check``).
 
-Runs started with ``--checkpoint-interval`` additionally journal
-``checkpoint`` records — mid-cell state digests at periodic event
-boundaries (see :mod:`repro.sim.checkpoint`) — so a resumed run can
-replay an interrupted cell and *verify* it passes through the recorded
-states instead of trusting determinism blindly.
-
 :func:`load_state` replays a journal into a :class:`RunState`: which cells
 exist, which finished, which failed and why, and whether the run completed
 or was suspended.  ``--resume <run_id>`` (see
@@ -27,7 +22,9 @@ or was suspended.  ``--resume <run_id>`` (see
 the cell cache: ``done`` cells are skipped as cache hits, everything else
 is re-dispatched, and the resumed output is byte-identical to an
 uninterrupted serial run because cell payloads are pure functions of
-(experiment, scale, params).
+(experiment, scale, params).  Replay skips record kinds it does not know,
+so journals written by older code (which also carried mid-cell
+``checkpoint`` records) still load.
 
 Inspect a journal from the command line::
 
@@ -137,7 +134,6 @@ class RunJournal:
         root: Optional[Path] = None,
         argv: Optional[List[str]] = None,
         fsync: str = "critical",
-        checkpoint_interval: Optional[int] = None,
     ) -> "RunJournal":
         """Start a new run: make the directory, write the run header."""
         base = Path(root) if root is not None else default_runs_dir()
@@ -159,7 +155,6 @@ class RunJournal:
                 "scale": scale,
                 "jobs": jobs,
                 "specs": list(specs),
-                "checkpoint_interval": checkpoint_interval,
             },
             critical=True,
         )
@@ -307,37 +302,6 @@ class RunJournal:
             critical=True,
         )
 
-    def cell_checkpoint(
-        self,
-        experiment: str,
-        key: str,
-        events: int,
-        sim_time: float,
-        digest: str,
-        sim_index: int = 0,
-    ) -> None:
-        """A mid-cell state checkpoint (see :mod:`repro.sim.checkpoint`).
-
-        Recorded at periodic event boundaries while a cell simulates, so
-        a resumed run can replay the cell and *verify* it passes through
-        the identical states instead of trusting determinism blindly.
-        ``sim_index`` distinguishes systems when one cell builds several.
-        Critical (fsynced): a checkpoint only has value if it survives
-        the crash it is meant to cover.
-        """
-        self._append(
-            {
-                "t": "checkpoint",
-                "experiment": experiment,
-                "key": key,
-                "sim": sim_index,
-                "events": events,
-                "sim_time": sim_time,
-                "digest": digest,
-            },
-            critical=True,
-        )
-
     def note(self, name: str, **fields: Any) -> None:
         """A run-level supervision event (``worker_died``, ``pool_rebuild``,
         ``degraded_serial``, ``signal``, ``resume`` …)."""
@@ -385,10 +349,6 @@ class CellRecord:
     source: Optional[str] = None
     #: Full transition history: (state, attempt) pairs in journal order.
     transitions: List[Tuple[str, int]] = field(default_factory=list)
-    #: Mid-cell checkpoint records (``{"sim", "events", "sim_time",
-    #: "digest"}``), in journal order.  A resumed run replays the cell
-    #: with these as expected digests.
-    checkpoints: List[Dict[str, Any]] = field(default_factory=list)
 
     @property
     def finished(self) -> bool:
@@ -405,9 +365,6 @@ class RunState:
     scale: Dict[str, Any] = field(default_factory=dict)
     jobs: int = 1
     specs: List[str] = field(default_factory=list)
-    #: ``--checkpoint-interval`` of the original run (None = disabled);
-    #: resume reuses it so replayed cells hit the recorded boundaries.
-    checkpoint_interval: Optional[int] = None
     #: experiment -> {cell key -> record}, keys in declaration order.
     cells: Dict[str, Dict[str, CellRecord]] = field(default_factory=dict)
     #: experiment -> source fingerprint at record time.
@@ -488,10 +445,6 @@ def load_state(run_dir: Path) -> RunState:
                 state.scale = record.get("scale", {})
                 state.jobs = record.get("jobs", 1)
                 state.specs = list(record.get("specs", []))
-                interval = record.get("checkpoint_interval")
-                state.checkpoint_interval = (
-                    int(interval) if interval is not None else None
-                )
             elif kind == "cells":
                 experiment = record["experiment"]
                 state.fingerprints[experiment] = record.get("fingerprint", "")
@@ -529,21 +482,6 @@ def load_state(run_dir: Path) -> RunState:
                         else None,
                     )
                     cell.kind = record.get("kind", cell_state)
-            elif kind == "checkpoint":
-                table = state.cells.setdefault(record["experiment"], {})
-                cell = table.get(record["key"])
-                if cell is None:
-                    cell = table[record["key"]] = CellRecord(
-                        key=record["key"], params={}
-                    )
-                cell.checkpoints.append(
-                    {
-                        "sim": int(record.get("sim", 0)),
-                        "events": int(record["events"]),
-                        "sim_time": float(record["sim_time"]),
-                        "digest": str(record["digest"]),
-                    }
-                )
             elif kind == "note":
                 state.notes.append(record)
                 if record.get("name") == "resume":

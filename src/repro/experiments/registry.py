@@ -108,8 +108,8 @@ class ExperimentSpec:
     #: this, so one ``--timeout`` budget fits light and heavy grids alike.
     cost_hint: float = 1.0
     #: Declared shared-warmup structure (None = every cell is cold).
-    #: See :class:`WarmupSpec`; the engine's serial path exploits it by
-    #: simulating each warmup prefix once and forking cells from it.
+    #: See :class:`WarmupSpec`; the engine's warm-fork placement exploits
+    #: it by simulating each warmup prefix once and forking cells from it.
     warmup: "WarmupSpec | None" = None
 
 

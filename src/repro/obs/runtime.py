@@ -3,11 +3,13 @@
 Experiment cells are plain functions that build their own
 :class:`~repro.core.system.System` internally — there is no parameter path
 from the CLI down to ``build_system``.  This module provides the bridge:
-:func:`activate` installs an :class:`Observation` for the duration of a
-run, and ``build_system`` calls :func:`observe_system` on every machine it
-finishes building.  With no observation active (the default, and always the
-case in parallel workers), :func:`observe_system` is a single ``is None``
-check.
+the experiment engine's inline runner calls :func:`activate` with the
+caller's :class:`Observation` for the duration of its cells, and
+``build_system`` calls :func:`observe_system` on every machine it finishes
+building.  An observation keeps every cell inline and skips cache reads (a
+cached payload would emit no spans or metrics).  With no observation
+active (the default, and always the case in warm forks and supervised
+workers), :func:`observe_system` is a single ``is None`` check.
 """
 
 from __future__ import annotations
@@ -39,12 +41,6 @@ class Observation:
         #: When true, keep a reference to every built system's registry so
         #: the CLI can dump metrics after the run.
         self.collect_metrics = metrics
-        #: When true (the default), the engine skips cache *reads* for
-        #: observed runs — a cached payload would emit no spans/metrics.
-        #: Checkpoint instrumentation sets this false: it only needs the
-        #: ``on_system`` hook, and a cache hit is still a valid (and
-        #: desirable, for ``--resume``) outcome.
-        self.bypass_cache = True
         #: When true, attach a fresh
         #: :class:`repro.check.sanitizer.SimSanitizer` to every built
         #: system and keep it for post-run hazard reporting.

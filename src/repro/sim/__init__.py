@@ -6,13 +6,7 @@ Exports the engine (:class:`Simulator`), coroutine-process layer
 recorders.
 """
 
-from repro.sim.checkpoint import (
-    Checkpoint,
-    CheckpointError,
-    CheckpointObserver,
-    capture_state,
-    state_digest,
-)
+from repro.sim.checkpoint import capture_state, state_digest
 from repro.sim.engine import MS, NS, SEC, US, ScheduledEvent, Simulator
 from repro.sim.process import (
     Completion,
@@ -51,9 +45,6 @@ __all__ = [
     "RngStreams",
     "StatAccumulator",
     "Counter",
-    "Checkpoint",
-    "CheckpointError",
-    "CheckpointObserver",
     "capture_state",
     "state_digest",
 ]

@@ -1,10 +1,10 @@
-"""Deterministic checkpoint/restore for the DES core.
+"""Deterministic state digests for the DES core.
 
 The model's simulation state is a live Python object graph: coroutine
 processes are *generator frames*, calendar-queue entries hold bound-method
 callbacks into that graph, and the RNG streams are C-side bit-generator
-state.  Generator frames cannot be serialised, so a checkpoint here is not
-a pickle — it is a **replay recipe plus a cryptographic commitment**:
+state.  Generator frames cannot be serialised, so this module does not
+save state — it *commits* to it:
 
 ``capture_state(root)``
     walks the object graph into a canonical, JSON-safe structure —
@@ -20,28 +20,17 @@ a pickle — it is a **replay recipe plus a cryptographic commitment**:
     same event boundary with byte-identical simulation state iff their
     digests match.
 
-``Checkpoint`` / ``restore``
-    a versioned, content-hashed artifact recording *how to rebuild* the
-    run (the recipe), *how far to replay it* (the event count), and *what
-    the state must hash to* when it gets there (the digest).  ``restore``
-    rebuilds from the recipe, replays exactly ``events`` events, and
-    verifies the digest — so a restored simulation is byte-identical to
-    an uninterrupted one **by construction and by proof**, not by hope.
-    Replay from a deterministic engine costs wall-time but never
-    correctness; the shared-warmup executor in
-    :mod:`repro.experiments.engine` removes the wall-time cost for grids
-    by forking cells from a live warmed-up process instead.
+``snapshot_system(system)``
+    a quiescent (outside any run) ``{events, sim_time, digest}`` record of
+    a built system — what the warm-start executor in
+    :mod:`repro.experiments.engine` stores as each warmup prefix's
+    artifact and verifies against prior runs.
 
-``CheckpointObserver``
-    an engine observer (see :meth:`repro.sim.engine.Simulator.attach`)
-    that computes digests at periodic event boundaries while a run
-    proceeds — the mechanism behind ``--checkpoint-interval`` journal
-    records and mid-cell resume verification.  Attaching it does not
-    perturb dispatch order (observers only hook dispatch).
-
-Digests are comparable only between runs with the same observer
-complement attached (the engine snapshot includes attached-observer
-bookkeeping by class name).
+The digests are the determinism oracle: ``tests/test_checkpoint.py``
+steps a scenario to an event boundary in two interpreters and requires
+the same digest there and the same final state.  Digests are comparable
+only between runs with the same observer complement attached (the engine
+snapshot includes attached-observer bookkeeping by class name).
 """
 
 from __future__ import annotations
@@ -50,25 +39,13 @@ import hashlib
 import json
 import sys
 import types
-from dataclasses import dataclass
-from pathlib import Path
-from typing import Any, Callable, Dict, List, Optional
+from typing import Any, Dict, List, Optional
 
 import numpy as np
-
-from repro.errors import SimulationError
-
-#: Version of the checkpoint artifact layout.  Bump on any change to the
-#: capture encoding — digests are only comparable within one schema.
-CHECKPOINT_SCHEMA = 1
 
 #: Recursion headroom for deep object graphs (page-table radix levels,
 #: chained generator frames).  Applied only for the duration of a capture.
 _CAPTURE_RECURSION_LIMIT = 20_000
-
-
-class CheckpointError(SimulationError):
-    """A checkpoint could not be taken, loaded, or verified."""
 
 
 def canonical_json(value: Any) -> str:
@@ -252,193 +229,11 @@ def state_digest(root: Any) -> str:
     return hashlib.sha256(text.encode("utf-8")).hexdigest()
 
 
-# ----------------------------------------------------------------------
-# checkpoint artifacts
-# ----------------------------------------------------------------------
-@dataclass
-class Checkpoint:
-    """A versioned, content-hashed replay checkpoint.
-
-    ``recipe`` is whatever the rebuild side needs to reconstruct the run
-    from scratch (experiment name, scale, params, or a warmup group key);
-    ``events`` is the boundary (total events dispatched); ``digest`` is
-    the state commitment the replay must reproduce at that boundary.
-
-    ``boundary`` records where the digest was taken:
-
-    * ``"dispatch"`` — inside the dispatch hook of event ``events`` (by
-      :class:`CheckpointObserver`).  Restorable: a replay reaches the
-      identical program point through the same hook.
-    * ``"quiescent"`` — outside any run (e.g. a warmup prefix snapshot
-      after its drain).  Comparable only against digests taken at the
-      same program point of another run; :func:`restore` rejects these
-      because a raw event-count replay cannot reproduce out-of-band
-      orchestration (clock forcing by ``run(until=...)``, daemon stops)
-      between run calls.
-    """
-
-    recipe: Dict[str, Any]
-    events: int
-    sim_time: float
-    digest: str
-    boundary: str = "dispatch"
-    schema: int = CHECKPOINT_SCHEMA
-
-    def to_json(self) -> Dict[str, Any]:
-        return {
-            "schema": self.schema,
-            "boundary": self.boundary,
-            "recipe": self.recipe,
-            "events": self.events,
-            "sim_time": self.sim_time,
-            "digest": self.digest,
-        }
-
-    @classmethod
-    def from_json(cls, data: Dict[str, Any]) -> "Checkpoint":
-        if data.get("schema") != CHECKPOINT_SCHEMA:
-            raise CheckpointError(
-                f"checkpoint schema {data.get('schema')!r} is not {CHECKPOINT_SCHEMA}"
-            )
-        return cls(
-            recipe=data["recipe"],
-            events=int(data["events"]),
-            sim_time=float(data["sim_time"]),
-            digest=str(data["digest"]),
-            boundary=str(data.get("boundary", "dispatch")),
-        )
-
-    def content_key(self) -> str:
-        """Content hash over the artifact body — the artifact's identity."""
-        return hashlib.sha256(
-            canonical_json(self.to_json()).encode("utf-8")
-        ).hexdigest()[:40]
-
-
-def snapshot_system(system: Any, recipe: Dict[str, Any]) -> Checkpoint:
-    """Take a quiescent checkpoint of ``system`` (outside any run)."""
+def snapshot_system(system: Any) -> Dict[str, Any]:
+    """Digest ``system`` at a quiescent point (outside any run)."""
     sim = system.sim
-    return Checkpoint(
-        recipe=dict(recipe),
-        events=sim.events_dispatched,
-        sim_time=sim.now,
-        digest=state_digest(system),
-        boundary="quiescent",
-    )
-
-
-def save_checkpoint(checkpoint: Checkpoint, directory: Path) -> Path:
-    """Write ``checkpoint`` to ``directory`` under its content hash."""
-    directory = Path(directory)
-    directory.mkdir(parents=True, exist_ok=True)
-    path = directory / f"checkpoint-{checkpoint.content_key()}.json"
-    path.write_text(canonical_json(checkpoint.to_json()) + "\n", encoding="utf-8")
-    return path
-
-
-def load_checkpoint(path: Path) -> Checkpoint:
-    try:
-        data = json.loads(Path(path).read_text(encoding="utf-8"))
-    except (OSError, ValueError) as exc:
-        raise CheckpointError(f"cannot load checkpoint {path}: {exc}") from exc
-    return Checkpoint.from_json(data)
-
-
-def restore(checkpoint: Checkpoint, rebuild: Callable[[Dict[str, Any]], Any]) -> Any:
-    """Reconstruct the simulation at the checkpoint's event boundary.
-
-    ``rebuild(recipe)`` must return a freshly built system (any object
-    with a ``sim`` attribute) with its workload prepared and scheduled,
-    exactly as the original run was before its first event.  The engine
-    then replays to the recorded event count; the state digest is
-    recomputed *inside the dispatch hook of the boundary event* — the
-    identical program point the original digest was taken at — and
-    verified against the checkpoint.  A mismatch means the source
-    drifted or the run is nondeterministic, and raises instead of
-    silently continuing from the wrong state.
-
-    Returns the system with the boundary event executed, ready to run to
-    completion; determinism makes the continuation byte-identical to an
-    uninterrupted run, and the digest match *proves* the replay reached
-    the same state.
-    """
-    if checkpoint.boundary != "dispatch":
-        raise CheckpointError(
-            f"cannot replay a {checkpoint.boundary!r}-boundary checkpoint; "
-            "only dispatch-boundary checkpoints are restorable"
-        )
-    system = rebuild(checkpoint.recipe)
-    sim = system.sim
-    remaining = checkpoint.events - sim.events_dispatched
-    if remaining <= 0:
-        raise CheckpointError(
-            f"rebuild already at or past the boundary ({sim.events_dispatched} "
-            f"of {checkpoint.events} events)"
-        )
-    observer = CheckpointObserver(
-        system,
-        interval=checkpoint.events,
-        expect={checkpoint.events: checkpoint.digest},
-    )
-    sim.attach(observer)
-    try:
-        sim.run(max_events=remaining)
-    finally:
-        sim.detach(observer)
-    if observer.verified != 1:
-        raise CheckpointError(
-            f"replay drained at {sim.events_dispatched} events before the "
-            f"checkpoint boundary {checkpoint.events}"
-        )
-    return system
-
-
-# ----------------------------------------------------------------------
-# periodic boundary digests
-# ----------------------------------------------------------------------
-class CheckpointObserver:
-    """Engine observer computing state digests at periodic event boundaries.
-
-    ``on_dispatch`` fires with ``events_dispatched`` already counting the
-    event about to execute, so a digest taken when the counter is a
-    multiple of ``interval`` commits to the boundary *after* the previous
-    event and *before* this one — the same point :func:`restore` replays
-    to.  When ``expect`` maps event counts to digests (from journal
-    checkpoint records), each recomputed digest is verified against the
-    recorded one and a mismatch raises :class:`CheckpointError`.
-    """
-
-    def __init__(
-        self,
-        system: Any,
-        interval: int,
-        on_checkpoint: Optional[Callable[[Dict[str, Any]], None]] = None,
-        expect: Optional[Dict[int, str]] = None,
-    ) -> None:
-        if interval <= 0:
-            raise CheckpointError(f"checkpoint interval must be positive, got {interval}")
-        self.system = system
-        self.interval = int(interval)
-        self.records: List[Dict[str, Any]] = []
-        self.verified = 0
-        self._on_checkpoint = on_checkpoint
-        self._expect = dict(expect) if expect else {}
-
-    def on_dispatch(self, time: float, chain: int) -> None:
-        sim = self.system.sim
-        events = sim.events_dispatched
-        if events % self.interval:
-            return
-        digest = state_digest(self.system)
-        record = {"events": events, "sim_time": sim.now, "digest": digest}
-        self.records.append(record)
-        expected = self._expect.get(events)
-        if expected is not None:
-            if digest != expected:
-                raise CheckpointError(
-                    f"resumed run diverged at event {events}: recorded digest "
-                    f"{expected[:16]}…, replay produced {digest[:16]}…"
-                )
-            self.verified += 1
-        if self._on_checkpoint is not None:
-            self._on_checkpoint(record)
+    return {
+        "events": sim.events_dispatched,
+        "sim_time": sim.now,
+        "digest": state_digest(system),
+    }

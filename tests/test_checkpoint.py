@@ -1,18 +1,19 @@
-"""Checkpoint/restore: canonical capture, artifacts, and replay identity.
+"""State digests: canonical capture and cross-process determinism.
 
-The heart of the suite is the fresh-process resume property test
-(satellite of the checkpoint PR): snapshot an arbitrary event boundary
-mid-run, restore it in a brand-new interpreter, run to completion, and
-require the *entire final machine state* — the full canonical state
-digest, plus kernel counters and device tallies — to be byte-identical
-to the uninterrupted run.  All four paging paths are covered (osdp,
-swdp, hwdp, and hwdp forced onto its queue-empty fallback route), each
-with an active fault plan, so replay determinism is proven under
-injected storage errors, not just on the happy path.
+The heart of the suite is the fresh-process property test: step a
+scenario to an arbitrary event boundary N, take the full canonical state
+digest there, resume the run to completion, and require a brand-new
+interpreter doing the same to reproduce both the digest at N and the
+*entire final machine state* — the full digest plus kernel counters and
+device tallies.  All four paging paths are covered (osdp, swdp, hwdp, and
+hwdp forced onto its queue-empty fallback route), each with an active
+fault plan, so determinism is proven under injected storage errors, not
+just on the happy path.  This is the oracle the warm-start executor's
+prefix digests rest on.
 
 When executed as a script (``python -m tests.test_checkpoint <path>
-<events> <digest>``) the module becomes the fresh-process resume driver
-the property test forks.
+<events>``) the module becomes the fresh-process driver the property test
+spawns.
 """
 
 from __future__ import annotations
@@ -24,22 +25,14 @@ import subprocess
 import sys
 
 import numpy as np
-import pytest
-from hypothesis import assume, given, settings
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.config import PagingMode
 from repro.mem.address import PAGE_SHIFT
 from repro.sim.checkpoint import (
-    CHECKPOINT_SCHEMA,
-    Checkpoint,
-    CheckpointError,
-    CheckpointObserver,
     canonical_json,
     capture_state,
-    load_checkpoint,
-    restore,
-    save_checkpoint,
     snapshot_system,
     state_digest,
 )
@@ -51,7 +44,7 @@ _REPO_ROOT = pathlib.Path(__file__).resolve().parent.parent
 #: Fixed post-completion drain horizon; both legs run it identically.
 _DRAIN_NS = 500_000.0
 
-#: The four paging paths of the resume property test.  ``hwdp-fallback``
+#: The four paging paths of the property test.  ``hwdp-fallback``
 #: starves the free-page queue (tiny depth, no kpoold) so misses route
 #: through the SMU's OS-fallback exception path.
 PATHS = {
@@ -87,60 +80,51 @@ def build_scenario(path: str):
     return system, proc
 
 
-def _summarize(system) -> str:
+def _step_until(sim, done, what: str) -> None:
+    while not done():
+        if not sim.step():
+            raise RuntimeError(f"{what}: event queue drained")
+
+
+def _end_state(system) -> dict:
     """Canonical end-state record: full digest + the visible metrics."""
-    return canonical_json(
-        {
-            "digest": state_digest(system),
-            "events": system.sim.events_dispatched,
-            "now": system.sim.now,
-            "counters": system.kernel.counters.as_dict(),
-            "device_reads": system.device.reads_completed,
-        }
-    )
+    return {
+        "digest": state_digest(system),
+        "events": system.sim.events_dispatched,
+        "now": system.sim.now,
+        "counters": system.kernel.counters.as_dict(),
+        "device_reads": system.device.reads_completed,
+    }
 
 
-def run_uninterrupted(path: str, interval: int):
-    """Baseline leg: run to completion with a checkpointing observer.
+def _complete(system, proc) -> None:
+    _step_until(system.sim, lambda: proc.finished, "workload")
+    system.sim.run(until=system.sim.now + _DRAIN_NS)
 
-    Returns ``(records, summary)`` where records are the mid-run
-    (pre-completion) boundary digests and summary the canonical end state.
-    """
+
+_WORKLOAD_EVENTS: dict = {}
+
+
+def workload_events(path: str) -> int:
+    """Events ``path``'s scenario dispatches until its workload finishes."""
+    if path not in _WORKLOAD_EVENTS:
+        system, proc = build_scenario(path)
+        _step_until(system.sim, lambda: proc.finished, path)
+        _WORKLOAD_EVENTS[path] = system.sim.events_dispatched
+    return _WORKLOAD_EVENTS[path]
+
+
+def run_through_boundary(path: str, events: int) -> str:
+    """Step to event boundary ``events``, digest the state there, resume
+    the run to completion; return both as one canonical record."""
     system, proc = build_scenario(path)
-    observer = CheckpointObserver(system, interval=interval)
     sim = system.sim
-    sim.attach(observer)
-    while not proc.finished:
-        if not sim.step():
-            raise RuntimeError("baseline workload stalled")
-    finish_events = sim.events_dispatched
-    sim.run(until=sim.now + _DRAIN_NS)
-    sim.detach(observer)
-    records = [r for r in observer.records if r["events"] < finish_events]
-    return records, _summarize(system)
-
-
-def resume_from(path: str, events: int, digest: str) -> str:
-    """Resume leg: rebuild, replay to the boundary (digest-verified inside
-    the boundary event's dispatch hook), run to completion, summarize."""
-    holder = {}
-
-    def rebuild(recipe):
-        system, proc = build_scenario(recipe["path"])
-        holder["proc"] = proc
-        return system
-
-    checkpoint = Checkpoint(
-        recipe={"path": path}, events=events, sim_time=0.0, digest=digest
+    _step_until(sim, lambda: sim.events_dispatched >= events, f"{path}@{events}")
+    boundary = state_digest(system)
+    _complete(system, proc)
+    return canonical_json(
+        {"boundary": {"events": events, "digest": boundary}, "end": _end_state(system)}
     )
-    system = restore(checkpoint, rebuild)
-    proc = holder["proc"]
-    sim = system.sim
-    while not proc.finished:
-        if not sim.step():
-            raise RuntimeError("resumed workload stalled")
-    sim.run(until=sim.now + _DRAIN_NS)
-    return _summarize(system)
 
 
 # ----------------------------------------------------------------------
@@ -200,140 +184,49 @@ class TestCapture:
 
 
 # ----------------------------------------------------------------------
-# checkpoint artifacts
+# boundary digests in one process
 # ----------------------------------------------------------------------
-class TestArtifact:
-    def _checkpoint(self):
-        return Checkpoint(
-            recipe={"experiment": "x", "cell": {"a": 1}},
-            events=1234,
-            sim_time=5.5,
-            digest="ab" * 32,
-        )
+class TestBoundaryDigest:
+    def test_digest_does_not_perturb_the_run(self):
+        # Warm-start prefixes are digested before their cells fork from
+        # them, so taking a digest must leave the simulation untouched.
+        system, proc = build_scenario("hwdp")
+        _complete(system, proc)
+        digested = json.loads(run_through_boundary("hwdp", workload_events("hwdp") // 2))
+        assert digested["end"] == _end_state(system)
 
-    def test_json_round_trip(self):
-        original = self._checkpoint()
-        clone = Checkpoint.from_json(original.to_json())
-        assert clone == original
-        assert clone.content_key() == original.content_key()
+    def test_digest_commits_to_the_boundary(self):
+        middle = workload_events("osdp") // 2
+        first = json.loads(run_through_boundary("osdp", middle))
+        again = json.loads(run_through_boundary("osdp", middle))
+        later = json.loads(run_through_boundary("osdp", middle + 1))
+        assert first == again
+        assert later["boundary"]["digest"] != first["boundary"]["digest"]
+        assert later["end"] == first["end"]
 
-    def test_schema_mismatch_rejected(self):
-        data = self._checkpoint().to_json()
-        data["schema"] = CHECKPOINT_SCHEMA + 1
-        with pytest.raises(CheckpointError):
-            Checkpoint.from_json(data)
-
-    def test_save_load_round_trip(self, tmp_path):
-        original = self._checkpoint()
-        path = save_checkpoint(original, tmp_path)
-        assert original.content_key() in path.name
-        assert load_checkpoint(path) == original
-
-    def test_load_garbage_raises(self, tmp_path):
-        path = tmp_path / "junk.json"
-        path.write_text("{not json")
-        with pytest.raises(CheckpointError):
-            load_checkpoint(path)
-        with pytest.raises(CheckpointError):
-            load_checkpoint(tmp_path / "missing.json")
+    def test_snapshot_system_is_a_plain_record(self):
+        system, proc = build_scenario("swdp")
+        _complete(system, proc)
+        snap = snapshot_system(system)
+        assert snap == {
+            "events": system.sim.events_dispatched,
+            "sim_time": system.sim.now,
+            "digest": state_digest(system),
+        }
+        assert json.loads(json.dumps(snap)) == snap
 
 
 # ----------------------------------------------------------------------
-# the observer
+# the fresh-process property
 # ----------------------------------------------------------------------
-class TestObserver:
-    def test_interval_validated(self):
-        system, _ = build_scenario("osdp")
-        with pytest.raises(CheckpointError):
-            CheckpointObserver(system, interval=0)
-
-    def test_records_at_multiples(self):
-        system, proc = build_scenario("osdp")
-        observer = CheckpointObserver(system, interval=500)
-        system.sim.attach(observer)
-        while not proc.finished:
-            if not system.sim.step():
-                raise RuntimeError("stalled")
-        assert observer.records
-        assert all(r["events"] % 500 == 0 for r in observer.records)
-        assert [r["events"] for r in observer.records] == sorted(
-            r["events"] for r in observer.records
-        )
-
-    def test_expect_mismatch_raises(self):
-        system, proc = build_scenario("osdp")
-        observer = CheckpointObserver(
-            system, interval=500, expect={500: "f" * 64}
-        )
-        system.sim.attach(observer)
-        with pytest.raises(CheckpointError, match="diverged at event 500"):
-            while not proc.finished:
-                if not system.sim.step():
-                    raise RuntimeError("stalled")
-
-
-# ----------------------------------------------------------------------
-# restore
-# ----------------------------------------------------------------------
-class TestRestore:
-    def test_quiescent_checkpoints_not_restorable(self):
-        system, _ = build_scenario("osdp")
-        checkpoint = snapshot_system(system, {"path": "osdp"})
-        assert checkpoint.boundary == "quiescent"
-        with pytest.raises(CheckpointError, match="quiescent"):
-            restore(checkpoint, lambda recipe: system)
-
-    def test_in_process_resume_is_byte_identical(self):
-        records, summary = run_uninterrupted("osdp", interval=300)
-        assert records, "scenario too short for the checkpoint interval"
-        record = records[len(records) // 2]
-        resumed = resume_from("osdp", record["events"], record["digest"])
-        assert resumed == summary
-
-    def test_tampered_digest_rejected(self):
-        records, _ = run_uninterrupted("osdp", interval=300)
-        record = records[0]
-        with pytest.raises(CheckpointError, match="diverged"):
-            resume_from("osdp", record["events"], "0" * 64)
-
-    def test_rebuild_past_boundary_rejected(self):
-        records, _ = run_uninterrupted("osdp", interval=300)
-        record = records[0]
-
-        def rebuild(recipe):
-            system, proc = build_scenario("osdp")
-            while not proc.finished:
-                system.sim.step()
-            return system
-
-        checkpoint = Checkpoint(
-            recipe={"path": "osdp"},
-            events=record["events"],
-            sim_time=0.0,
-            digest=record["digest"],
-        )
-        with pytest.raises(CheckpointError, match="at or past the boundary"):
-            restore(checkpoint, rebuild)
-
-
-# ----------------------------------------------------------------------
-# the fresh-process resume property
-# ----------------------------------------------------------------------
-def _fresh_process_resume(path: str, events: int, digest: str) -> str:
+def _fresh_process(path: str, events: int) -> str:
     env = dict(os.environ)
     src = str(_REPO_ROOT / "src")
     env["PYTHONPATH"] = os.pathsep.join(
         p for p in (src, str(_REPO_ROOT), env.get("PYTHONPATH")) if p
     )
     result = subprocess.run(
-        [
-            sys.executable,
-            "-m",
-            "tests.test_checkpoint",
-            path,
-            str(events),
-            digest,
-        ],
+        [sys.executable, "-m", "tests.test_checkpoint", path, str(events)],
         cwd=_REPO_ROOT,
         env=env,
         capture_output=True,
@@ -344,35 +237,26 @@ def _fresh_process_resume(path: str, events: int, digest: str) -> str:
 
 
 class TestFreshProcessResume:
-    """Snapshot at an arbitrary boundary, resume in a new interpreter."""
+    """Digest at an arbitrary boundary, resume, and repeat in a new interpreter."""
 
     @given(
         path=st.sampled_from(sorted(PATHS)),
-        interval=st.sampled_from([100, 170, 250]),
         pick=st.integers(min_value=0, max_value=10_000),
     )
     @settings(max_examples=8, deadline=None)
-    def test_resume_completion_byte_identical(self, path, interval, pick):
-        records, summary = run_uninterrupted(path, interval)
-        assume(records)
-        record = records[pick % len(records)]
-        resumed = _fresh_process_resume(path, record["events"], record["digest"])
-        assert resumed == summary
+    def test_resume_completion_byte_identical(self, path, pick):
+        events = 1 + pick % (workload_events(path) - 1)
+        assert _fresh_process(path, events) == run_through_boundary(path, events)
 
     def test_every_path_resumes(self):
-        # Deterministic sweep: one mid-run boundary per paging path, so a
+        # Deterministic sweep: one late boundary per paging path, so a
         # path-specific regression cannot hide behind hypothesis sampling.
         for path in sorted(PATHS):
-            records, summary = run_uninterrupted(path, interval=250)
-            assert records, f"{path}: scenario too short"
-            record = records[-1]
-            resumed = _fresh_process_resume(
-                path, record["events"], record["digest"]
-            )
-            assert resumed == summary, f"{path}: resumed run diverged"
+            events = workload_events(path) * 3 // 4
+            expected = run_through_boundary(path, events)
+            assert _fresh_process(path, events) == expected, f"{path}: diverged"
 
 
 if __name__ == "__main__":
-    # Fresh-process resume driver (see TestFreshProcessResume).
-    _path, _events, _digest = sys.argv[1], int(sys.argv[2]), sys.argv[3]
-    print(resume_from(_path, _events, _digest))
+    # Fresh-process driver (see TestFreshProcessResume).
+    print(run_through_boundary(sys.argv[1], int(sys.argv[2])))

@@ -133,6 +133,61 @@ def test_resume_note_clears_prior_end_state(tmp_path):
     assert load_state(tmp_path / "r1").end_state is None
 
 
+def test_older_journal_with_checkpoint_records_still_resumes(tmp_path):
+    # Journals from before mid-cell checkpoints were removed carry a
+    # ``checkpoint_interval`` header field and ``checkpoint`` records;
+    # replay skips both, so such a run still plans a clean resume.
+    from repro.experiments.engine import (
+        cell_key,
+        plan_resume,
+        scale_to_dict,
+        spec_fingerprint,
+    )
+    from repro.experiments.registry import get_spec
+    from repro.experiments.runner import QUICK
+
+    spec = get_spec("fig17")
+    cells = list(spec.cells(QUICK))
+    keys = [cell_key(spec, QUICK, cell) for cell in cells]
+
+    def cell(key, state, **fields):
+        return {"t": "cell", "experiment": spec.name, "key": key, "state": state,
+                "attempt": 1, "worker": "inline-ckpt", **fields}
+
+    def checkpoint(key, events):
+        return {"t": "checkpoint", "experiment": spec.name, "key": key, "sim": 0,
+                "events": events, "sim_time": 1.5e6, "digest": "ab" * 32}
+
+    records = [
+        {"t": "run", "schema": 1, "run_id": "older", "argv": ["--only", "fig17"],
+         "scale": scale_to_dict(QUICK), "jobs": 1, "specs": [spec.name],
+         "checkpoint_interval": 5000},
+        {"t": "cells", "experiment": spec.name, "fingerprint": spec_fingerprint(spec),
+         "cells": [{"key": k, "params": c.as_dict()} for k, c in zip(keys, cells)]},
+        cell(keys[0], "dispatched"),
+        checkpoint(keys[0], 5000),
+        cell(keys[0], "done", wall_s=0.5, source="computed"),
+        cell(keys[1], "dispatched"),
+        checkpoint(keys[1], 5000),
+    ]
+    run_dir = tmp_path / "older"
+    run_dir.mkdir()
+    with open(run_dir / JOURNAL_NAME, "w") as handle:
+        for ts, record in enumerate(records):
+            record["ts"] = 1000.0 + ts
+            handle.write(json.dumps(record, separators=(",", ":"), sort_keys=True) + "\n")
+
+    state = load_state(find_run("older", tmp_path))
+    assert state.torn_lines == 0
+    assert state.done_keys(spec.name) == keys[:1]
+    assert [r.key for _, r in state.unfinished_cells()] == keys[1:]
+    plan = plan_resume(state)
+    assert plan.mismatches == []
+    assert plan.skip_failed == {}
+    assert [s.name for s in plan.specs] == [spec.name]
+    assert plan.scale == QUICK
+
+
 def test_every_record_is_single_line_compact_json(tmp_path):
     journal = _journaled_run(tmp_path)
     journal.run_end(RUN_COMPLETE, exit_code=0)
