@@ -109,6 +109,8 @@ class CpuComplex:
         self.physical_cores = [
             PhysicalCore(sim, config, core_id) for core_id in range(config.physical_cores)
         ]
+        #: Every logical core's TLB, in core order: the shootdown target set.
+        self._tlbs = tuple(lane.mmu.tlb for lane in self.logical_cores)
 
     @property
     def logical_cores(self) -> List[LogicalCore]:
@@ -122,4 +124,8 @@ class CpuComplex:
 
     def tlb_shootdown(self, vpn: int) -> int:
         """Invalidate a translation everywhere; returns cores that had it."""
-        return sum(1 for lane in self.logical_cores if lane.mmu.invalidate(vpn))
+        count = 0
+        for tlb in self._tlbs:
+            if tlb.invalidate(vpn):
+                count += 1
+        return count

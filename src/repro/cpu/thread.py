@@ -142,7 +142,7 @@ class ThreadContext:
         core.state = _STALLED
         translation = yield from core.mmu.translate(self, vaddr, is_write)
         core.state = previous_state
-        self.perf.record_translation(translation.kind.value, translation.miss_latency_ns)
+        self.perf.record_translation(translation.kind.label, translation.miss_latency_ns)
         kernel = self._process_kernel
         if kernel is not None:
             # Models the hardware access/dirty bits the OS samples: walks

@@ -32,9 +32,12 @@ exactly), and workers ship payloads as canonical JSON text, so a retried,
 resumed, or cached cell is indistinguishable from a fresh inline one.
 
 Cache keys combine the experiment name, an explicit spec version, a
-fingerprint of the experiment's source files (the defining module plus the
-shared harness modules), the full scale preset, and the cell params —
-editing one experiment module invalidates only its own cells.
+fingerprint of the source a cell runs, the full scale preset, and the cell
+params.  The fingerprint covers every simulator module (all of ``repro``
+outside ``repro.experiments``) plus the experiment's defining module and
+the shared harness modules: editing the simulator invalidates every cell
+(and every warmup-prefix artifact and resumable journal), while editing
+one experiment module invalidates only its own cells.
 
 Failing cells never abort the grid: each is collected into
 ``ExecutionReport.failures`` (and re-raised at the end as one aggregate
@@ -52,9 +55,11 @@ import hashlib
 import json
 import os
 import sys
+import threading
 import time
 from collections import deque
 from dataclasses import asdict, dataclass, field
+from pathlib import Path
 from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple, Union
 
 from repro.experiments.cache import CellCache
@@ -104,9 +109,38 @@ def _file_digest(path: str) -> str:
     return digest
 
 
+#: ``src/repro``: every module under it except ``repro.experiments`` is
+#: simulator source that every cell runs.
+_PACKAGE_DIR = Path(__file__).resolve().parent.parent
+_simulator_digest: Optional[str] = None
+
+
+def _simulator_sources() -> List[str]:
+    """Paths of every ``repro`` module outside ``repro.experiments``."""
+    harness = _PACKAGE_DIR / "experiments"
+    return sorted(
+        str(path)
+        for path in _PACKAGE_DIR.rglob("*.py")
+        if harness not in path.parents
+    )
+
+
+def _simulator_fingerprint() -> str:
+    """Digest of the simulator's source, computed once per process."""
+    global _simulator_digest
+    if _simulator_digest is None:
+        digest = hashlib.sha256()
+        for path in _simulator_sources():
+            relative = Path(path).relative_to(_PACKAGE_DIR).as_posix()
+            digest.update(f"{relative}:{_file_digest(path)};".encode())
+        _simulator_digest = digest.hexdigest()
+    return _simulator_digest
+
+
 def spec_fingerprint(spec: ExperimentSpec) -> str:
-    """Source-version fingerprint: the spec's defining module plus the
-    shared harness modules every cell routes through."""
+    """Source-version fingerprint: the whole simulator, plus the spec's
+    defining module and the shared harness modules every cell routes
+    through (so one experiment's edit leaves the others' cells valid)."""
     from repro.experiments import runner, workload_runs
 
     files = {runner.__file__, workload_runs.__file__}
@@ -115,6 +149,7 @@ def spec_fingerprint(spec: ExperimentSpec) -> str:
         files.add(module.__file__)
     digest = hashlib.sha256()
     digest.update(f"engine-schema:{ENGINE_SCHEMA};spec-version:{spec.version};".encode())
+    digest.update(f"simulator:{_simulator_fingerprint()};".encode())
     for path in sorted(files):
         digest.update(_file_digest(path).encode())
     return digest.hexdigest()
@@ -741,12 +776,35 @@ def _verify_prefix_artifact(
 # ----------------------------------------------------------------------
 # supervised-worker placement
 # ----------------------------------------------------------------------
-def _supervised_worker(worker_id: str, task_queue: Any, result_queue: Any) -> None:
+#: How often a supervised worker checks that its parent is still alive.
+_ORPHAN_CHECK_S = 0.25
+
+
+def _exit_when_orphaned(parent_pid: int) -> None:
+    """Worker watchdog: end the worker as soon as its parent is gone.
+
+    A SIGKILLed parent never sends the shutdown sentinel, and a forked
+    worker holds its own task queue's write end, so it never sees EOF
+    either; without this it would run on, reparented to init.  Polling
+    the parent pid also stops a worker in the middle of a cell.
+    """
+    while os.getppid() == parent_pid:
+        time.sleep(_ORPHAN_CHECK_S)
+    os._exit(1)
+
+
+def _supervised_worker(
+    worker_id: str, task_queue: Any, result_queue: Any, parent_pid: int
+) -> None:
     """Worker loop: compute cells until handed ``None``.
 
     Payloads travel back as canonical JSON text, so the parent's
     ``json.loads`` reproduces the exact bytes an inline run would merge.
     """
+    threading.Thread(
+        target=_exit_when_orphaned, args=(parent_pid,), daemon=True,
+        name=f"orphan-watch-{worker_id}",
+    ).start()
     while True:
         item = task_queue.get()
         if item is None:
@@ -785,7 +843,7 @@ class _WorkerHandle:
         self.task_queue = ctx.SimpleQueue()
         self.proc = ctx.Process(
             target=_supervised_worker,
-            args=(worker_id, self.task_queue, result_queue),
+            args=(worker_id, self.task_queue, result_queue, os.getpid()),
             daemon=True,
             name=f"repro-cell-{worker_id}",
         )

@@ -34,8 +34,11 @@ from repro.os.vma import MmapFlags, Vma
 from repro.sim import Counter, Signal, Simulator
 from repro.storage.nvme import NVMeDevice
 from repro.vm.pte import (
+    PFN_MASK,
+    PFN_SHIFT,
+    PRESENT_BIT,
+    STATE_MASK,
     PteStatus,
-    decode_pte,
     evict_to_lba,
     hw_install_frame,
     make_anon_lba_pte,
@@ -57,8 +60,10 @@ _SYSCALL_BASE_NS = 350.0
 _UNMAP_PAGE_NS = 120.0
 #: Per-page direct-reclaim cost (LRU scan, unmap, free).
 _RECLAIM_PAGE_NS = 600.0
-#: Write-queue throttle: a thread issuing file writes blocks while more
-#: than this many of its writes are in flight (models a bounded WAL buffer).
+#: Write-queue throttle: a thread issuing a file write waits while this
+#: many or more commands are in flight on the OS queue pair — every
+#: in-flight command counts, reads and other threads' writes included
+#: (models a bounded WAL buffer).
 _WRITE_THROTTLE = 32
 
 
@@ -227,8 +232,8 @@ class Kernel:
         """
         process = page.process
         table = process.page_table
-        current = decode_pte(table.get_pte(page.vaddr))
-        if not current.present or current.pfn != page.pfn:
+        current = table.get_pte(page.vaddr)
+        if not current & PRESENT_BIT or (current & PFN_MASK) >> PFN_SHIFT != page.pfn:
             raise KernelError(
                 f"evicting PFN {page.pfn} but PTE({page.vaddr:#x}) does not map it"
             )
@@ -253,7 +258,7 @@ class Kernel:
                     self.swap_file.nsid, lba, dma_addr=page.pfn, context=self.swap_file
                 )
                 self.counters.add("reclaim.anon_swapped")
-            table.set_pte(page.vaddr, evict_to_lba(current.raw, lba))
+            table.set_pte(page.vaddr, evict_to_lba(current, lba))
             self.counters.add("reclaim.lba_augmented")
         elif page.file is None:
             # Conventional anonymous swap-out: the swap offset (biased by
@@ -272,7 +277,7 @@ class Kernel:
         # Unmap the rest of the reverse map (other VMAs mapping the frame).
         for other_process, other_vma, other_vaddr in page.extra_mappings:
             other_table = other_process.page_table
-            if decode_pte(other_table.get_pte(other_vaddr)).present:
+            if other_table.get_pte(other_vaddr) & PRESENT_BIT:
                 if (
                     self.mode is not PagingMode.OSDP
                     and other_vma.is_fastmap
@@ -304,12 +309,12 @@ class Kernel:
         self, process: ProcessContext, vma: Vma, vaddr: int, pfn: int
     ) -> int:
         """Conventional install: present PTE + inline OS metadata update."""
-        current = decode_pte(process.page_table.get_pte(vaddr))
-        if current.present:
+        current = process.page_table.get_pte(vaddr)
+        if current & PRESENT_BIT:
             # Lost a race (another path installed first): drop our frame.
             self.frame_pool.free(pfn)
             self.counters.add("install.lost_race")
-            return current.pfn
+            return (current & PFN_MASK) >> PFN_SHIFT
         process.page_table.set_pte(
             vaddr, make_present_pte(pfn, writable=vma.writable)
         )
@@ -353,14 +358,13 @@ class Kernel:
     def sync_hw_page(self, process: ProcessContext, vaddr: int, pte_addr: int) -> bool:
         """One deferred metadata update (kpted / msync / munmap path)."""
         value = process.page_table.read_entry(pte_addr)
-        if pte_status(value) is not PteStatus.RESIDENT_PENDING_SYNC:
-            return False
+        if value & STATE_MASK != STATE_MASK:
+            return False  # not RESIDENT_PENDING_SYNC: already synced or gone
         vma = process.find_vma(vaddr)
         if vma is None:
             raise KernelError(f"pending-sync PTE at {vaddr:#x} has no VMA")
-        decoded = decode_pte(value)
         process.page_table.write_entry(pte_addr, os_sync_metadata(value))
-        self._track_resident(process, vma, vaddr, decoded.pfn)
+        self._track_resident(process, vma, vaddr, (value & PFN_MASK) >> PFN_SHIFT)
         self.counters.add("sync.pages")
         return True
 
@@ -592,7 +596,7 @@ class Kernel:
             count = min(_CHARGE_BATCH * 4, vma.num_pages - begin)
             for index in range(begin, begin + count):
                 vaddr = vma.start + (index << PAGE_SHIFT)
-                if decode_pte(thread.process.page_table.get_pte(vaddr)).present:
+                if thread.process.page_table.get_pte(vaddr) & PRESENT_BIT:
                     continue
                 if vma.file is not None:
                     cached = self.page_cache.lookup(vma.file, vma.file_page_of(vaddr))
@@ -664,13 +668,11 @@ class Kernel:
 
     def _teardown_page(self, process: ProcessContext, vma: Vma, vaddr: int) -> None:
         previous = process.page_table.clear_pte(vaddr)
-        if previous == 0:
+        if not previous & PRESENT_BIT:
             return
-        decoded = decode_pte(previous)
-        if not decoded.present:
-            return
+        pfn = (previous & PFN_MASK) >> PFN_SHIFT
         self.cpu_complex.tlb_shootdown(vaddr >> PAGE_SHIFT)
-        page = self._page_info.get(decoded.pfn)
+        page = self._page_info.get(pfn)
         if page is not None and page.mapcount > 1:
             # Shared frame: drop just this mapping from the reverse map.
             mapping = (process, vma, vaddr)
@@ -689,11 +691,11 @@ class Kernel:
             sanitizer = self.sim.sanitizer
             if sanitizer is not None:
                 sanitizer.note("kernel.page_info", "write")
-            self._page_info.pop(decoded.pfn, None)
-            self.reclaim.remove(decoded.pfn)
+            self._page_info.pop(pfn, None)
+            self.reclaim.remove(pfn)
             if page.file is not None:
                 self.page_cache.remove(page.file, page.file_page)
-        self.frame_pool.free(decoded.pfn)
+        self.frame_pool.free(pfn)
 
     def sys_fork(self, thread: Any) -> Generator[Any, Any, ProcessContext]:
         """fork(): reverts LBA-augmented PTEs in the parent (§V)."""

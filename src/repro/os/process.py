@@ -61,7 +61,7 @@ class ProcessContext:
                 reverted += 1
         # Fast-mmap VMAs lose their hardware handling in both parent and child.
         for vma in self.layout.fastmap_vmas():
-            vma.flags &= ~type(vma.flags).FASTMAP
+            vma.drop_fastmap()
         child = ProcessContext(self.kernel, name or f"{self.name}-child", parent=self)
         child._reverted_on_fork = reverted  # introspection for tests
         return child

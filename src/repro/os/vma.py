@@ -9,7 +9,7 @@ Figure 4 uses it to preload everything.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import List, Optional
 
 from repro.config import PAGE_SIZE
@@ -37,14 +37,21 @@ class Vma:
     file_page_offset: int = 0
     flags: MmapFlags = MmapFlags.NONE
     writable: bool = True
+    #: ``FASTMAP in flags``, stored: eviction and the fault path test it on
+    #: every page, and ``Flag.__and__`` is Python code.
+    is_fastmap: bool = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        self.is_fastmap = bool(self.flags & MmapFlags.FASTMAP)
+
+    def drop_fastmap(self) -> None:
+        """Hand this area's misses back to the OS (fork, §V)."""
+        self.flags &= ~MmapFlags.FASTMAP
+        self.is_fastmap = False
 
     @property
     def end(self) -> int:
         return self.start + self.num_pages * PAGE_SIZE
-
-    @property
-    def is_fastmap(self) -> bool:
-        return bool(self.flags & MmapFlags.FASTMAP)
 
     @property
     def is_file_backed(self) -> bool:

@@ -45,6 +45,11 @@ class TranslationKind(enum.Enum):
     HW_FALLBACK_FAULT = "hw-fallback-fault"
     OS_FAULT = "os-fault"
 
+    def __init__(self, label: str) -> None:
+        #: The member's value as a plain attribute: ``value`` is an enum
+        #: property, too slow to read once per simulated access.
+        self.label = label
+
 
 @dataclass(slots=True)
 class Translation:

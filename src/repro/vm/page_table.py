@@ -36,6 +36,12 @@ TABLE_REGION_BASE = 1 << 40
 
 LEVEL_NAMES = {3: "PGD", 2: "PUD", 1: "PMD", 0: "PT"}
 
+#: Entry-address arithmetic for the SMU's by-address interface: a table
+#: page is page-aligned and holds 8-byte entries.
+_PAGE_OFFSET_MASK = (1 << PAGE_SHIFT) - 1
+_PAGE_BASE_MASK = ~_PAGE_OFFSET_MASK
+_ENTRY_ALIGN_MASK = 7
+
 
 class _TableNode:
     """One 4 KB page-table page at a given level."""
@@ -152,8 +158,24 @@ class PageTable:
         )
 
     def get_pte(self, vaddr: int) -> int:
-        """Raw leaf PTE value (0 when unmapped)."""
-        return self.walk(vaddr).pte
+        """Raw leaf PTE value (0 when unmapped).
+
+        Descends like :meth:`walk` but returns the bare entry, without
+        building a :class:`WalkResult`: the OS reads PTEs this way on every
+        eviction, install and fault.
+        """
+        if not 0 <= vaddr < VA_LIMIT:
+            raise AddressError(f"virtual address {vaddr:#x} outside {VA_BITS}-bit space")
+        node = self.root.children.get((vaddr >> 39) & 511)
+        if node is None:
+            return 0
+        node = node.children.get((vaddr >> 30) & 511)
+        if node is None:
+            return 0
+        node = node.children.get((vaddr >> 21) & 511)
+        if node is None:
+            return 0
+        return node.entries[(vaddr >> 12) & 511]
 
     # ------------------------------------------------------------------
     # mutation
@@ -211,28 +233,29 @@ class PageTable:
     # ------------------------------------------------------------------
     # physical-address entry access (the SMU's interface)
     # ------------------------------------------------------------------
-    def _locate(self, entry_addr: int) -> Tuple[_TableNode, int]:
-        base = entry_addr & ~((1 << PAGE_SHIFT) - 1)
-        node = self._nodes_by_base.get(base)
+    def _node_at(self, entry_addr: int) -> _TableNode:
+        """The table page holding ``entry_addr``; both address checks."""
+        node = self._nodes_by_base.get(entry_addr & _PAGE_BASE_MASK)
         if node is None:
             raise PageTableError(f"no page-table page at address {entry_addr:#x}")
-        offset = entry_addr - base
-        if offset % 8:
+        if entry_addr & _ENTRY_ALIGN_MASK:
             raise PageTableError(f"misaligned entry address {entry_addr:#x}")
-        return node, offset // 8
+        return node
 
     def read_entry(self, entry_addr: int) -> int:
         if self._sanitizer is not None:
             self._sanitizer.note_read(self)
-        node, index = self._locate(entry_addr)
-        return node.entries[index]
+        node = self._node_at(entry_addr)
+        return node.entries[(entry_addr & _PAGE_OFFSET_MASK) >> 3]
 
     def write_entry(self, entry_addr: int, value: int) -> None:
         if self._sanitizer is not None:
             self._sanitizer.note_write(self)
-        node, index = self._locate(entry_addr)
-        previous = node.entries[index]
-        node.entries[index] = value
+        node = self._node_at(entry_addr)
+        entries = node.entries
+        index = (entry_addr & _PAGE_OFFSET_MASK) >> 3
+        previous = entries[index]
+        entries[index] = value
         if node.level == 0:
             if value != 0 and previous == 0:
                 self.populated_ptes += 1
@@ -243,8 +266,8 @@ class PageTable:
         """Set the LBA bit of an (upper-level) entry by address (§III-C)."""
         if self._sanitizer is not None:
             self._sanitizer.note_write(self)
-        node, index = self._locate(entry_addr)
-        node.entries[index] |= LBA_BIT
+        node = self._node_at(entry_addr)
+        node.entries[(entry_addr & _PAGE_OFFSET_MASK) >> 3] |= LBA_BIT
 
     # ------------------------------------------------------------------
     # kpted scan support (§IV-C)

@@ -32,6 +32,13 @@ A non-present PTE with the LBA bit *clear* is a conventional invalid entry
 Upper-level entries (PMD/PUD) reuse the LBA bit with a different meaning
 (§III-B, Table I): "some PTE below was hardware-handled and awaits OS
 metadata synchronisation".  :func:`describe_upper` captures that.
+
+The Table I transitions (:func:`hw_install_frame`, :func:`os_sync_metadata`,
+:func:`evict_to_lba`, :func:`update_lba`, :func:`revert_to_normal`) and
+:func:`pte_status` are bit operations on the raw integer, as in the
+hardware: each tests the PRESENT/LBA pair and builds its result with masks.
+:class:`DecodedPte` (from :func:`decode_pte`) is the readable view for
+tests, tracing and cold paths.
 """
 
 from __future__ import annotations
@@ -95,6 +102,12 @@ MAX_DEVICE_ID = (1 << DEVICE_BITS) - 1
 MAX_SOCKET_ID = (1 << SOCKET_BITS) - 1
 MAX_PKEY = (1 << PKEY_BITS) - 1
 
+#: The two bits that select a leaf PTE's Table I state.
+STATE_MASK = PRESENT_BIT | LBA_BIT
+#: Fields every transition carries across both layouts: page-level
+#: permissions (W, USER), protection key and NX (§III-B).
+_CARRIED_MASK = WRITABLE_BIT | USER_BIT | PKEY_MASK | NX_BIT
+
 
 class PteStatus(enum.Enum):
     """The four leaf-PTE states of Table I."""
@@ -116,6 +129,15 @@ class UpperStatus(enum.Enum):
     NO_SYNC_NEEDED = "no PTE below requires OS metadata update"
     #: LBA=1 — one or more PTEs below were hardware-handled.
     SYNC_NEEDED = "lower table(s) hold hardware-handled PTEs awaiting sync"
+
+
+#: ``value & STATE_MASK`` → Table I leaf status.
+_STATUS_OF_BITS = {
+    0: PteStatus.NON_RESIDENT_OS,
+    LBA_BIT: PteStatus.NON_RESIDENT_HW,
+    PRESENT_BIT | LBA_BIT: PteStatus.RESIDENT_PENDING_SYNC,
+    PRESENT_BIT: PteStatus.RESIDENT,
+}
 
 
 # ----------------------------------------------------------------------
@@ -160,6 +182,22 @@ def make_present_pte(
     return value
 
 
+def _lba_fields(lba: int, device_id: int, socket_id: int) -> int:
+    """LBA bit plus the range-checked storage location of Figure 6b."""
+    if not 0 <= lba <= MAX_LBA:
+        raise PageTableError(f"LBA {lba:#x} exceeds {LBA_BITS} bits")
+    if not 0 <= device_id <= MAX_DEVICE_ID:
+        raise PageTableError(f"device ID {device_id} exceeds {DEVICE_BITS} bits")
+    if not 0 <= socket_id <= MAX_SOCKET_ID:
+        raise PageTableError(f"socket ID {socket_id} exceeds {SOCKET_BITS} bits")
+    return (
+        LBA_BIT
+        | (lba << LBA_SHIFT)
+        | (device_id << DEVICE_SHIFT)
+        | (socket_id << SOCKET_SHIFT)
+    )
+
+
 def make_lba_pte(
     lba: int,
     *,
@@ -171,21 +209,10 @@ def make_lba_pte(
     pkey: int = 0,
 ) -> int:
     """Encode a non-present LBA-augmented PTE (Figure 6b)."""
-    if not 0 <= lba <= MAX_LBA:
-        raise PageTableError(f"LBA {lba:#x} exceeds {LBA_BITS} bits")
-    if not 0 <= device_id <= MAX_DEVICE_ID:
-        raise PageTableError(f"device ID {device_id} exceeds {DEVICE_BITS} bits")
-    if not 0 <= socket_id <= MAX_SOCKET_ID:
-        raise PageTableError(f"socket ID {socket_id} exceeds {SOCKET_BITS} bits")
+    value = _lba_fields(lba, device_id, socket_id)
     if not 0 <= pkey <= MAX_PKEY:
         raise PageTableError(f"pkey {pkey} exceeds {PKEY_BITS} bits")
-    value = (
-        LBA_BIT
-        | (lba << LBA_SHIFT)
-        | (device_id << DEVICE_SHIFT)
-        | (socket_id << SOCKET_SHIFT)
-        | (pkey << PKEY_SHIFT)
-    )
+    value |= pkey << PKEY_SHIFT
     if writable:
         value |= WRITABLE_BIT
     if user:
@@ -252,31 +279,25 @@ class DecodedPte:
 
 def decode_pte(value: int) -> DecodedPte:
     """Decode a leaf PTE into its fields and Table I status."""
-    present = bool(value & PRESENT_BIT)
-    lba_bit = bool(value & LBA_BIT)
-    if present:
-        status = PteStatus.RESIDENT_PENDING_SYNC if lba_bit else PteStatus.RESIDENT
-    else:
-        status = PteStatus.NON_RESIDENT_HW if lba_bit else PteStatus.NON_RESIDENT_OS
     return DecodedPte(
-        raw=value,
-        present=present,
-        lba_bit=lba_bit,
-        writable=bool(value & WRITABLE_BIT),
-        user=bool(value & USER_BIT),
-        nx=bool(value & NX_BIT),
-        pkey=(value & PKEY_MASK) >> PKEY_SHIFT,
-        pfn=(value & PFN_MASK) >> PFN_SHIFT,
-        lba=(value & LBA_FIELD_MASK) >> LBA_SHIFT,
-        device_id=(value & DEVICE_FIELD_MASK) >> DEVICE_SHIFT,
-        socket_id=(value & SOCKET_FIELD_MASK) >> SOCKET_SHIFT,
-        status=status,
+        value,
+        bool(value & PRESENT_BIT),
+        bool(value & LBA_BIT),
+        bool(value & WRITABLE_BIT),
+        bool(value & USER_BIT),
+        bool(value & NX_BIT),
+        (value & PKEY_MASK) >> PKEY_SHIFT,
+        (value & PFN_MASK) >> PFN_SHIFT,
+        (value & LBA_FIELD_MASK) >> LBA_SHIFT,
+        (value & DEVICE_FIELD_MASK) >> DEVICE_SHIFT,
+        (value & SOCKET_FIELD_MASK) >> SOCKET_SHIFT,
+        _STATUS_OF_BITS[value & STATE_MASK],
     )
 
 
 def pte_status(value: int) -> PteStatus:
     """Table I status of a leaf PTE."""
-    return decode_pte(value).status
+    return _STATUS_OF_BITS[value & STATE_MASK]
 
 
 def describe_upper(value: int) -> UpperStatus:
@@ -294,28 +315,21 @@ def hw_install_frame(lba_pte: int, pfn: int) -> int:
     OS metadata must be synchronised (§III-C step 7: "SMU does not clear
     the LBA bit").  Protection bits, pkey and NX are preserved.
     """
-    decoded = decode_pte(lba_pte)
-    if decoded.present or not decoded.lba_bit:
+    if lba_pte & STATE_MASK != LBA_BIT:
         raise PageTableError(
-            f"hw_install_frame on PTE in state {decoded.status}; "
+            f"hw_install_frame on PTE in state {pte_status(lba_pte)}; "
             "expected NON_RESIDENT_HW"
         )
-    return make_present_pte(
-        pfn,
-        writable=decoded.writable,
-        user=decoded.user,
-        nx=decoded.nx,
-        pkey=decoded.pkey,
-        lba_pending=True,
-    )
+    if not 0 <= pfn <= MAX_PFN:
+        raise PageTableError(f"PFN {pfn:#x} exceeds {PFN_BITS} bits")
+    return (lba_pte & _CARRIED_MASK) | STATE_MASK | (pfn << PFN_SHIFT)
 
 
 def os_sync_metadata(pte: int) -> int:
     """kpted's final act for one PTE: clear the LBA bit (§IV-C)."""
-    decoded = decode_pte(pte)
-    if decoded.status is not PteStatus.RESIDENT_PENDING_SYNC:
+    if pte & STATE_MASK != STATE_MASK:
         raise PageTableError(
-            f"os_sync_metadata on PTE in state {decoded.status}; "
+            f"os_sync_metadata on PTE in state {pte_status(pte)}; "
             "expected RESIDENT_PENDING_SYNC"
         )
     return pte & ~LBA_BIT
@@ -327,18 +341,9 @@ def evict_to_lba(present_pte: int, lba: int, *, device_id: int = 0, socket_id: i
     Implements §IV-B's eviction rule: record the LBA, clear PRESENT, set the
     LBA bit, preserving protections.
     """
-    decoded = decode_pte(present_pte)
-    if not decoded.present:
+    if not present_pte & PRESENT_BIT:
         raise PageTableError("evict_to_lba requires a present PTE")
-    return make_lba_pte(
-        lba,
-        device_id=device_id,
-        socket_id=socket_id,
-        writable=decoded.writable,
-        user=decoded.user,
-        nx=decoded.nx,
-        pkey=decoded.pkey,
-    )
+    return _lba_fields(lba, device_id, socket_id) | (present_pte & _CARRIED_MASK)
 
 
 def revert_to_normal(lba_pte: int) -> int:
@@ -347,26 +352,20 @@ def revert_to_normal(lba_pte: int) -> int:
     Shared mappings are unsupported, so on fork every LBA-augmented entry
     reverts to an ordinary non-present entry whose miss the OS handles.
     """
-    decoded = decode_pte(lba_pte)
-    if decoded.present or not decoded.lba_bit:
+    if lba_pte & STATE_MASK != LBA_BIT:
         raise PageTableError("revert_to_normal requires a NON_RESIDENT_HW PTE")
     return 0
 
 
 def update_lba(lba_pte: int, new_lba: int, *, device_id: int = None, socket_id: int = None) -> int:
     """File-system block remap (§IV-B): refresh the LBA field in place."""
-    decoded = decode_pte(lba_pte)
-    if decoded.present or not decoded.lba_bit:
+    if lba_pte & STATE_MASK != LBA_BIT:
         raise PageTableError("update_lba requires a NON_RESIDENT_HW PTE")
-    return make_lba_pte(
-        new_lba,
-        device_id=decoded.device_id if device_id is None else device_id,
-        socket_id=decoded.socket_id if socket_id is None else socket_id,
-        writable=decoded.writable,
-        user=decoded.user,
-        nx=decoded.nx,
-        pkey=decoded.pkey,
-    )
+    if device_id is None:
+        device_id = (lba_pte & DEVICE_FIELD_MASK) >> DEVICE_SHIFT
+    if socket_id is None:
+        socket_id = (lba_pte & SOCKET_FIELD_MASK) >> SOCKET_SHIFT
+    return _lba_fields(new_lba, device_id, socket_id) | (lba_pte & _CARRIED_MASK)
 
 
 # ----------------------------------------------------------------------

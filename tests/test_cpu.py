@@ -165,6 +165,22 @@ class TestCores:
         assert complex_.tlb_shootdown(5) == 2
         assert complex_.tlb_shootdown(5) == 0
 
+    def test_tlb_shootdown_equals_per_lane_invalidate(self):
+        # The shootdown walks a TLB tuple cached at construction; it must
+        # match invalidating through every lane's MMU, count and contents.
+        config = CpuConfig(physical_cores=4, smt_ways=2)
+        fast, slow = CpuComplex(Simulator(), config), CpuComplex(Simulator(), config)
+        for complex_ in (fast, slow):
+            for index, lane in enumerate(complex_.logical_cores):
+                for vpn in range(index % 3, 12, 2):
+                    lane.mmu.tlb.fill(vpn, 100 + vpn, index % 2 == 0)
+        for vpn in (0, 3, 4, 7, 11, 40, 3):
+            expected = sum(1 for lane in slow.logical_cores if lane.mmu.invalidate(vpn))
+            assert fast.tlb_shootdown(vpn) == expected
+            for got, want in zip(fast.logical_cores, slow.logical_cores):
+                assert list(got.mmu.tlb._map.items()) == list(want.mmu.tlb._map.items())
+                assert got.mmu.tlb.invalidations == want.mmu.tlb.invalidations
+
 
 class TestThreadCompute:
     def test_compute_duration_matches_ipc(self):

@@ -1,12 +1,14 @@
 """Tests for the declarative experiment registry, engine, and cell cache."""
 
 import json
+import os
 import pathlib
+import sys
 
 import pytest
 
 from repro.experiments import __main__ as cli
-from repro.experiments import registry
+from repro.experiments import engine, registry
 from repro.experiments.cache import CellCache
 from repro.experiments.engine import cell_key, execute, run_spec, spec_fingerprint
 from repro.experiments.registry import Cell, ExperimentSpec
@@ -120,6 +122,51 @@ def test_fingerprint_covers_defining_module():
     fig01 = registry.get_spec("fig01")
     fig17 = registry.get_spec("fig17")
     assert spec_fingerprint(fig01) != spec_fingerprint(fig17)
+
+
+def _fingerprints_and_keys():
+    return {
+        spec.name: (
+            spec_fingerprint(spec),
+            tuple(cell_key(spec, QUICK, cell) for cell in spec.cells(QUICK)),
+        )
+        for spec in registry.all_specs()
+    }
+
+
+def _edit_source(monkeypatch, path):
+    """Make the engine see ``path`` with different contents."""
+    monkeypatch.setitem(engine._file_digests, path, "edited")
+    monkeypatch.setattr(engine, "_simulator_digest", None)
+
+
+def test_simulator_source_change_invalidates_every_spec(monkeypatch):
+    # Every cell runs the simulator: editing e.g. the PTE codec must
+    # change every spec's fingerprint and every cell key, or the cache
+    # (and --resume, and warm-prefix artifacts) would serve old results.
+    sources = engine._simulator_sources()
+    pte = next(path for path in sources if path.endswith(os.path.join("vm", "pte.py")))
+    assert not any(os.sep + "experiments" + os.sep in path for path in sources)
+    before = _fingerprints_and_keys()
+    _edit_source(monkeypatch, pte)
+    after = _fingerprints_and_keys()
+    for name, (fingerprint, keys) in before.items():
+        assert after[name][0] != fingerprint, name
+        assert not set(after[name][1]) & set(keys), name
+
+
+def test_experiment_source_change_invalidates_only_its_spec(monkeypatch):
+    fig01 = registry.get_spec("fig01")
+    module_file = sys.modules[fig01.cell_fn.__module__].__file__
+    owners = {
+        spec.name for spec in registry.all_specs()
+        if sys.modules[spec.cell_fn.__module__].__file__ == module_file
+    }
+    before = _fingerprints_and_keys()
+    _edit_source(monkeypatch, module_file)
+    after = _fingerprints_and_keys()
+    changed = {name for name in before if after[name] != before[name]}
+    assert changed == owners == {"fig01"}
 
 
 def test_corrupt_cache_entry_is_a_miss(tmp_path):

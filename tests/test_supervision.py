@@ -382,6 +382,64 @@ def test_cli_sigkill_then_resume_matches_golden(tmp_path):
     assert final.unfinished_cells() == []
 
 
+def _proc_stat(pid):
+    """``(state, ppid)`` from /proc/<pid>/stat, or None once it is gone."""
+    try:
+        text = Path(f"/proc/{pid}/stat").read_text()
+    except OSError:
+        return None
+    fields = text.rsplit(")", 1)[1].split()  # the name may hold spaces
+    return fields[0], int(fields[1])
+
+
+def _children(pid):
+    found = []
+    for entry in Path("/proc").iterdir():
+        if entry.name.isdigit():
+            stat = _proc_stat(entry.name)
+            if stat is not None and stat[1] == pid:
+                found.append(int(entry.name))
+    return found
+
+
+def _alive(pid):
+    stat = _proc_stat(pid)
+    return stat is not None and stat[0] not in ("Z", "X")  # zombies have exited
+
+
+@pytest.mark.skipif(not Path("/proc/self/stat").exists(), reason="needs /proc")
+def test_cli_sigkill_leaves_no_orphaned_workers(tmp_path):
+    # kill -9 of the CLI never sends the pool its shutdown sentinel; every
+    # supervised worker must notice its parent is gone and exit, even in
+    # the middle of a cell.
+    proc = subprocess.Popen(
+        [
+            sys.executable, "-m", "repro.experiments",
+            "--only", "fig13", "--jobs", "2", "--no-cache",
+            "--out", str(tmp_path / "out"),
+        ],
+        env=_cli_env(tmp_path), stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL,
+    )
+    workers = []
+    try:
+        deadline = time.monotonic() + 60.0
+        while len(workers) < 2 and time.monotonic() < deadline:
+            time.sleep(0.05)
+            workers = _children(proc.pid)
+        time.sleep(0.5)  # let both workers get into a cell
+    finally:
+        proc.send_signal(signal.SIGKILL)
+        proc.wait(timeout=30)
+    assert len(workers) >= 2, "the --jobs 2 pool never started"
+    deadline = time.monotonic() + 5.0
+    while any(_alive(pid) for pid in workers) and time.monotonic() < deadline:
+        time.sleep(0.05)
+    survivors = [pid for pid in workers if _alive(pid)]
+    for pid in survivors:
+        os.kill(pid, signal.SIGKILL)
+    assert survivors == [], "workers outlived the killed CLI"
+
+
 def test_cli_resume_refuses_unknown_run(tmp_path):
     env = _cli_env(tmp_path)
     result = subprocess.run(

@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.errors import PageTableError
+from repro.errors import AddressError, PageTableError
 from repro.mem.address import ENTRIES_PER_TABLE, PAGE_SHIFT, VA_LIMIT
 from repro.vm import (
     PageTable,
@@ -15,6 +15,8 @@ from repro.vm import (
     make_present_pte,
     pte_status,
 )
+from repro.vm.page_table import TABLE_REGION_BASE
+from repro.vm.pte import LBA_BIT
 
 PAGE = 1 << PAGE_SHIFT
 
@@ -234,3 +236,96 @@ def test_property_scan_finds_exactly_the_pending_set(vaddrs):
             pending_vpns.add(vpn)
     report = table.collect_pending_sync()
     assert sorted(vpn for vpn, _ in report.pending) == sorted(pending_vpns)
+
+
+# ----------------------------------------------------------------------
+# get_pte vs walk, and the by-address entry interface's error checks
+# ----------------------------------------------------------------------
+#: Mapped pages spread over two PGD slots; the probes below land on them,
+#: next to them (same leaf table), under a missing leaf table (PMD
+#: present), under a missing PMD table (PUD present), and in an empty PGD
+#: slot.
+_MAPPED = [0x7000, 0x8000, 0x4000_0000_0000 + 0x1000]
+_PROBES = [
+    0x7000, 0x8000, 0x9000, 0x7123,  # mapped / same leaf table, offset
+    0x20_0000,  # leaf table missing, PMD table present
+    0x4000_0000,  # PMD table missing, PUD table present
+    0x4000_0000_0000 + 0x1000, 0x4000_0000_0000,  # second PGD slot
+    0x8000_0000_0000 - 0x1000,  # empty PGD slot, top of the space
+    0,
+]
+
+
+def _mapped_table():
+    table = PageTable()
+    for i, vaddr in enumerate(_MAPPED):
+        table.set_pte(vaddr, make_lba_pte(i + 1) if i % 2 else make_present_pte(i + 1))
+    return table
+
+
+@pytest.mark.parametrize("vaddr", _PROBES)
+def test_get_pte_matches_walk(vaddr):
+    table = _mapped_table()
+    assert table.get_pte(vaddr) == table.walk(vaddr).pte
+
+
+@given(vaddr=st.integers(min_value=0, max_value=VA_LIMIT - 1))
+@settings(max_examples=200)
+def test_property_get_pte_matches_walk(vaddr):
+    table = _mapped_table()
+    # Map the probe's neighbourhood half the time so every depth is hit.
+    if vaddr & 1:
+        table.set_pte((vaddr ^ (1 << PAGE_SHIFT)) & ~(PAGE - 1), make_present_pte(3))
+    assert table.get_pte(vaddr) == table.walk(vaddr).pte
+
+
+@pytest.mark.parametrize("vaddr", [-1, -PAGE, VA_LIMIT, VA_LIMIT + PAGE, 1 << 64])
+def test_get_pte_rejects_addresses_outside_the_space(vaddr):
+    table = _mapped_table()
+    with pytest.raises(AddressError):
+        table.walk(vaddr)
+    with pytest.raises(AddressError):
+        table.get_pte(vaddr)
+
+
+def _entry_accessors(table):
+    return {
+        "read_entry": lambda addr: table.read_entry(addr),
+        "write_entry": lambda addr: table.write_entry(addr, make_present_pte(1)),
+        "set_entry_lba_bit": lambda addr: table.set_entry_lba_bit(addr),
+    }
+
+
+@pytest.mark.parametrize("accessor", ["read_entry", "write_entry", "set_entry_lba_bit"])
+def test_entry_access_rejects_unknown_table_page(accessor):
+    table = _mapped_table()
+    access = _entry_accessors(table)[accessor]
+    for addr in (0xDEAD000, 0, TABLE_REGION_BASE - 8, TABLE_REGION_BASE + (1 << 30)):
+        with pytest.raises(PageTableError, match="no page-table page"):
+            access(addr)
+
+
+@pytest.mark.parametrize("accessor", ["read_entry", "write_entry", "set_entry_lba_bit"])
+def test_entry_access_rejects_misaligned_address(accessor):
+    table = _mapped_table()
+    walk = table.walk(_MAPPED[0])
+    access = _entry_accessors(table)[accessor]
+    for addr in (walk.pte_addr + 3, walk.pmd_entry_addr + 1, walk.pud_entry_addr + 7):
+        before = table.read_entry(addr & ~7)
+        with pytest.raises(PageTableError, match="misaligned"):
+            access(addr)
+        assert table.read_entry(addr & ~7) == before, "a rejected access wrote"
+
+
+def test_entry_access_by_address_hits_the_walked_entries():
+    table = _mapped_table()
+    walk = table.walk(_MAPPED[0])
+    assert table.read_entry(walk.pte_addr) == walk.pte
+    table.set_entry_lba_bit(walk.pmd_entry_addr)
+    table.set_entry_lba_bit(walk.pud_entry_addr)
+    assert table.read_entry(walk.pmd_entry_addr) & LBA_BIT
+    assert table.read_entry(walk.pud_entry_addr) & LBA_BIT
+    populated = table.populated_ptes
+    table.write_entry(walk.pte_addr, 0)
+    assert table.get_pte(_MAPPED[0]) == 0
+    assert table.populated_ptes == populated - 1

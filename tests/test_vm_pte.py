@@ -1,7 +1,7 @@
 """Tests for the LBA-augmented PTE codec (paper Fig 6 / Table I)."""
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import find, given, settings
 from hypothesis import strategies as st
 
 from repro.errors import PageTableError
@@ -258,3 +258,202 @@ class TestFieldDisjointness:
         for mask in masks:
             assert combined & mask == 0
             combined |= mask
+
+
+# ----------------------------------------------------------------------
+# Reference codec: the decode/re-encode formulation that the bit-mask
+# transitions replaced.  The transitions must agree with it on every
+# input: the same value, or the same PageTableError.
+# ----------------------------------------------------------------------
+def _ref_decode(value):
+    present = bool(value & ptemod.PRESENT_BIT)
+    lba_bit = bool(value & ptemod.LBA_BIT)
+    if present:
+        status = PteStatus.RESIDENT_PENDING_SYNC if lba_bit else PteStatus.RESIDENT
+    else:
+        status = PteStatus.NON_RESIDENT_HW if lba_bit else PteStatus.NON_RESIDENT_OS
+    return ptemod.DecodedPte(
+        raw=value,
+        present=present,
+        lba_bit=lba_bit,
+        writable=bool(value & ptemod.WRITABLE_BIT),
+        user=bool(value & ptemod.USER_BIT),
+        nx=bool(value & ptemod.NX_BIT),
+        pkey=(value & ptemod.PKEY_MASK) >> ptemod.PKEY_SHIFT,
+        pfn=(value & ptemod.PFN_MASK) >> ptemod.PFN_SHIFT,
+        lba=(value & ptemod.LBA_FIELD_MASK) >> ptemod.LBA_SHIFT,
+        device_id=(value & ptemod.DEVICE_FIELD_MASK) >> ptemod.DEVICE_SHIFT,
+        socket_id=(value & ptemod.SOCKET_FIELD_MASK) >> ptemod.SOCKET_SHIFT,
+        status=status,
+    )
+
+
+def _ref_make_lba_pte(lba, *, device_id=0, socket_id=0, writable=True, user=True,
+                      nx=False, pkey=0):
+    if not 0 <= lba <= ptemod.MAX_LBA:
+        raise PageTableError(f"LBA {lba:#x} exceeds {ptemod.LBA_BITS} bits")
+    if not 0 <= device_id <= ptemod.MAX_DEVICE_ID:
+        raise PageTableError(f"device ID {device_id} exceeds {ptemod.DEVICE_BITS} bits")
+    if not 0 <= socket_id <= ptemod.MAX_SOCKET_ID:
+        raise PageTableError(f"socket ID {socket_id} exceeds {ptemod.SOCKET_BITS} bits")
+    if not 0 <= pkey <= ptemod.MAX_PKEY:
+        raise PageTableError(f"pkey {pkey} exceeds {ptemod.PKEY_BITS} bits")
+    value = (
+        ptemod.LBA_BIT
+        | (lba << ptemod.LBA_SHIFT)
+        | (device_id << ptemod.DEVICE_SHIFT)
+        | (socket_id << ptemod.SOCKET_SHIFT)
+        | (pkey << ptemod.PKEY_SHIFT)
+    )
+    if writable:
+        value |= ptemod.WRITABLE_BIT
+    if user:
+        value |= ptemod.USER_BIT
+    if nx:
+        value |= ptemod.NX_BIT
+    return value
+
+
+def _ref_pte_status(value):
+    return _ref_decode(value).status
+
+
+def _ref_hw_install_frame(lba_pte, pfn):
+    decoded = _ref_decode(lba_pte)
+    if decoded.present or not decoded.lba_bit:
+        raise PageTableError(
+            f"hw_install_frame on PTE in state {decoded.status}; "
+            "expected NON_RESIDENT_HW"
+        )
+    return make_present_pte(
+        pfn, writable=decoded.writable, user=decoded.user, nx=decoded.nx,
+        pkey=decoded.pkey, lba_pending=True,
+    )
+
+
+def _ref_os_sync_metadata(pte):
+    decoded = _ref_decode(pte)
+    if decoded.status is not PteStatus.RESIDENT_PENDING_SYNC:
+        raise PageTableError(
+            f"os_sync_metadata on PTE in state {decoded.status}; "
+            "expected RESIDENT_PENDING_SYNC"
+        )
+    return pte & ~ptemod.LBA_BIT
+
+
+def _ref_evict_to_lba(present_pte, lba, *, device_id=0, socket_id=0):
+    decoded = _ref_decode(present_pte)
+    if not decoded.present:
+        raise PageTableError("evict_to_lba requires a present PTE")
+    return _ref_make_lba_pte(
+        lba, device_id=device_id, socket_id=socket_id, writable=decoded.writable,
+        user=decoded.user, nx=decoded.nx, pkey=decoded.pkey,
+    )
+
+
+def _ref_revert_to_normal(lba_pte):
+    decoded = _ref_decode(lba_pte)
+    if decoded.present or not decoded.lba_bit:
+        raise PageTableError("revert_to_normal requires a NON_RESIDENT_HW PTE")
+    return 0
+
+
+def _ref_update_lba(lba_pte, new_lba, *, device_id=None, socket_id=None):
+    decoded = _ref_decode(lba_pte)
+    if decoded.present or not decoded.lba_bit:
+        raise PageTableError("update_lba requires a NON_RESIDENT_HW PTE")
+    return _ref_make_lba_pte(
+        new_lba,
+        device_id=decoded.device_id if device_id is None else device_id,
+        socket_id=decoded.socket_id if socket_id is None else socket_id,
+        writable=decoded.writable, user=decoded.user, nx=decoded.nx, pkey=decoded.pkey,
+    )
+
+
+def _outcome(fn, *args, **kwargs):
+    """``("ok", value)`` or ``("raise", message)`` for one call."""
+    try:
+        return ("ok", fn(*args, **kwargs))
+    except PageTableError as exc:
+        return ("raise", str(exc))
+
+
+def _field(max_value):
+    """One field's values: anywhere in range, its extremes, just outside."""
+    return st.one_of(
+        st.integers(min_value=0, max_value=max_value),
+        st.sampled_from([0, 1, max_value, max_value + 1, -1]),
+    )
+
+
+def _extreme(max_value):
+    return st.sampled_from([0, 1, max_value])
+
+
+#: Raw 64-bit entries: arbitrary bit patterns, plus well-formed entries of
+#: both layouts with every field at an extreme.
+raw_ptes = st.one_of(
+    st.integers(min_value=0, max_value=(1 << 64) - 1),
+    st.builds(
+        make_present_pte, _extreme(ptemod.MAX_PFN), writable=bools, user=bools,
+        nx=bools, pkey=_extreme(ptemod.MAX_PKEY), lba_pending=bools,
+    ),
+    st.builds(
+        make_lba_pte, _extreme(ptemod.MAX_LBA),
+        device_id=_extreme(ptemod.MAX_DEVICE_ID), socket_id=_extreme(ptemod.MAX_SOCKET_ID),
+        writable=bools, user=bools, nx=bools, pkey=_extreme(ptemod.MAX_PKEY),
+    ),
+    st.sampled_from([0, (1 << 64) - 1, ptemod.STATE_MASK, ptemod.LBA_BIT, ptemod.PRESENT_BIT]),
+)
+
+
+class TestTransitionsMatchReference:
+    """Bit-mask transitions ≡ the decode/re-encode reference, input for input."""
+
+    @given(value=raw_ptes)
+    @settings(max_examples=200)
+    def test_decode_and_status(self, value):
+        decoded, expected = decode_pte(value), _ref_decode(value)
+        for name in ptemod.DecodedPte.__dataclass_fields__:
+            assert getattr(decoded, name) == getattr(expected, name), name
+        assert decoded.status is expected.status
+        assert pte_status(value) is _ref_pte_status(value)
+
+    @given(value=raw_ptes, pfn=_field(ptemod.MAX_PFN))
+    @settings(max_examples=200)
+    def test_hw_install_frame(self, value, pfn):
+        assert _outcome(hw_install_frame, value, pfn) == _outcome(
+            _ref_hw_install_frame, value, pfn
+        )
+
+    @given(value=raw_ptes)
+    @settings(max_examples=200)
+    def test_os_sync_metadata(self, value):
+        assert _outcome(os_sync_metadata, value) == _outcome(_ref_os_sync_metadata, value)
+
+    @given(value=raw_ptes, lba=_field(ptemod.MAX_LBA), dev=_field(ptemod.MAX_DEVICE_ID),
+           sid=_field(ptemod.MAX_SOCKET_ID))
+    @settings(max_examples=200)
+    def test_evict_to_lba(self, value, lba, dev, sid):
+        assert _outcome(evict_to_lba, value, lba, device_id=dev, socket_id=sid) == (
+            _outcome(_ref_evict_to_lba, value, lba, device_id=dev, socket_id=sid)
+        )
+
+    @given(value=raw_ptes, lba=_field(ptemod.MAX_LBA),
+           dev=st.one_of(st.none(), _field(ptemod.MAX_DEVICE_ID)),
+           sid=st.one_of(st.none(), _field(ptemod.MAX_SOCKET_ID)))
+    @settings(max_examples=200)
+    def test_update_lba(self, value, lba, dev, sid):
+        assert _outcome(update_lba, value, lba, device_id=dev, socket_id=sid) == (
+            _outcome(_ref_update_lba, value, lba, device_id=dev, socket_id=sid)
+        )
+
+    @given(value=raw_ptes)
+    @settings(max_examples=200)
+    def test_revert_to_normal(self, value):
+        assert _outcome(revert_to_normal, value) == _outcome(_ref_revert_to_normal, value)
+
+    def test_generator_covers_all_four_states(self):
+        # Without this the properties above could pass vacuously.
+        for status in PteStatus:
+            find(raw_ptes, lambda value, status=status: _ref_pte_status(value) is status)
