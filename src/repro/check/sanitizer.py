@@ -256,6 +256,22 @@ class SimSanitizer(SimObserver):
         )
 
     @staticmethod
+    def callback_site(callback: Any) -> str:
+        """Site of a callback the engine dispatches directly: its definition.
+
+        A structure that runs its consumer as a callback (a
+        :meth:`repro.sim.resources.FifoChannel.consume` drain) passes this
+        as the explicit site, since the caller on the stack is the engine.
+        """
+        code = getattr(getattr(callback, "__func__", callback), "__code__", None)
+        if code is None:
+            return f"<{type(callback).__name__}>"
+        return (
+            f"{os.path.basename(code.co_filename)}:"
+            f"{code.co_name}:{code.co_firstlineno}"
+        )
+
+    @staticmethod
     def _caller_site(skip_owner: bool) -> str:
         """Source location of the model code that touched the structure.
 

@@ -23,7 +23,7 @@ from typing import Callable, List, Optional
 
 from repro.config import SmuConfig
 from repro.errors import SmuError
-from repro.sim import Simulator, spawn
+from repro.sim import Simulator
 from repro.storage.nvme import NVMeCommand, NVMeDevice, NVMeOpcode, QueuePair
 
 
@@ -69,7 +69,7 @@ class SmuHostController:
                 )
                 descriptor = QueueDescriptor(device_id, device, qp, nsid)
                 self._descriptors[device_id] = descriptor
-                spawn(self.sim, self._completion_unit(descriptor), f"smu-cqsnoop-{device_id}")
+                qp.cq.consume(self._completion_unit, descriptor)
                 return device_id
         raise SmuError(
             f"all {self.config.devices_per_smu} descriptor sets in use "
@@ -132,19 +132,23 @@ class SmuHostController:
                 "smu_host.sq_doorbell", device_id=device_id, lba=lba, cid=tag
             )
 
-    def _completion_unit(self, descriptor: QueueDescriptor):
-        """Snoop CQ memory writes and percolate completions upward."""
-        while True:
-            command = yield from descriptor.qp.cq.get()
-            self.completions_snooped += 1
-            sink = self.sim.trace
-            if sink is not None:
-                sink.instant(
-                    "smu_host.cq_snoop",
-                    device_id=descriptor.device_id,
-                    cid=command.cid,
-                    status=command.status.value,
-                )
-            # CQ protocol (pointer, phase, CQ doorbell) costs are charged in
-            # the page-miss handler's after-device accounting.
-            self._on_completion(command)
+    # repro: hot-path
+    def _completion_unit(self, descriptor: QueueDescriptor, command: NVMeCommand) -> None:
+        """Snoop one CQ memory write and percolate the completion upward.
+
+        The queue pair's CQ consumer callback: the snoop is hardware
+        reacting to a memory write, so it runs per entry (see
+        :meth:`repro.sim.FifoChannel.consume`).
+        """
+        self.completions_snooped += 1
+        sink = self.sim.trace
+        if sink is not None:
+            sink.instant(
+                "smu_host.cq_snoop",
+                device_id=descriptor.device_id,
+                cid=command.cid,
+                status=command.status.value,
+            )
+        # CQ protocol (pointer, phase, CQ doorbell) costs are charged in
+        # the page-miss handler's after-device accounting.
+        self._on_completion(command)

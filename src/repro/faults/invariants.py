@@ -12,7 +12,9 @@ queue drained of storage traffic):
 2. **Barrier counters drained** — every SMU's per-pid outstanding map is
    empty, so a future ``munmap`` barrier cannot hang.
 3. **I/O quiescent** — no in-flight commands in the OS block stack, the
-   SMU queue pairs, or the device service station.
+   SMU queue pairs, or the device service station, and every completion
+   queue drained: no entry its consumer never took, no drain still
+   pending (a lost wake-up would strand completions there).
 4. **Page table ⟷ resident frames** — every present PTE maps an allocated
    frame, every OS-tracked page is mapped by the PTE it records, and the
    frame pool's used count equals the frames accounted for by owners
@@ -100,6 +102,13 @@ def check_invariants(system: Any) -> InvariantReport:
     for qid, qp in system.device.queue_pairs.items():
         if qp.outstanding:
             note(f"queue pair {qid} ({qp.owner}) has {qp.outstanding} outstanding")
+        if len(qp.cq):
+            note(
+                f"queue pair {qid} ({qp.owner}) CQ holds {len(qp.cq)} entries "
+                "its consumer never took"
+            )
+        if qp.cq.drain_pending:
+            note(f"queue pair {qid} ({qp.owner}) CQ drain still pending")
 
     # -- 4: page table consistent with resident frames -----------------
     # Membership sets are fine, but anything *reported* (violation text,

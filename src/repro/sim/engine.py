@@ -19,10 +19,10 @@ rests on.
 
 Two further hot-loop provisions:
 
-* **Slab reuse** — the process layer schedules through
-  :meth:`Simulator.schedule_transient`, which recycles event objects from
-  a free list instead of allocating; the public :meth:`Simulator.schedule`
-  returns ordinary single-use handles.
+* **Slab reuse** — the process layer and the device-side callbacks
+  schedule through :meth:`Simulator.schedule_transient`, which recycles
+  event objects from a free list instead of allocating; the public
+  :meth:`Simulator.schedule` returns ordinary single-use handles.
 * **Pre-bound observation** — trace/sanitizer instrumentation attaches
   via :meth:`Simulator.attach` (see :mod:`repro.sim.observe`), which
   compiles the attached observers down to at most two bound callables.
@@ -239,7 +239,8 @@ class Simulator:
         every reference to the returned handle once the event has fired
         or been cancelled — the engine recycles the object the moment it
         leaves the calendar.  ``delay`` is trusted non-negative.  The
-        process layer's internal wake-ups are the intended callers.
+        process layer's wake-ups and the device-side callbacks (NVMe
+        commands, completion-queue drains) are the intended callers.
         """
         time = self.now + delay
         pool = self._event_pool

@@ -1,8 +1,11 @@
 """Coroutine processes on top of the event engine.
 
-A *process* is a Python generator that models a sequential activity (a CPU
-thread, the NVMe device's command loop, a kernel daemon).  The generator
-yields *commands* telling the scheduler what to wait for:
+A *process* is a Python generator that models a sequential activity: a
+thread in the paper's sense (a CPU thread with the SMU miss pipeline and
+the fault handler it runs, a kernel daemon).  Hardware that only reacts —
+the NVMe device and the completion-queue consumers — is plain scheduled
+callbacks instead (see :mod:`repro.storage.nvme`).  The generator yields
+*commands* telling the scheduler what to wait for:
 
 ``Delay(ns)``
     resume after ``ns`` nanoseconds of simulated time.

@@ -10,12 +10,16 @@ The model follows the NVMe flow the paper relies on (§II-B, §III-C):
   the SMU's completion unit snooping the CQ memory write (SMU queues have
   interrupts disabled, §III-C).
 
-Both delivery styles map onto the queue pair's ``completion_signal``: the
-kernel's interrupt path and the SMU's snooper both wait on it; the *costs*
-they pay on wake-up differ and are charged by the respective consumers.
+Both delivery styles map onto the queue pair's completion queue, a
+:class:`repro.sim.FifoChannel` with one consumer callback — the kernel's
+interrupt dispatcher or the SMU's completion unit; the *costs* they pay
+on delivery differ and are charged by the respective consumers.
 
-Device-internal concurrency is a ``parallel_ops``-server station; reads are
-inflated while writes occupy slots (see :mod:`repro.storage.latency`).
+The device is hardware, not a thread, so a command is a chain of
+scheduled callbacks rather than a process: arrival (one zero-delay event
+after the doorbell), a slot of the ``parallel_ops``-server station
+(queueing FIFO when all are busy), service end, and the CQ write.  Reads
+are inflated while writes occupy slots (see :mod:`repro.storage.latency`).
 """
 
 from __future__ import annotations
@@ -27,7 +31,7 @@ from typing import Any, Dict, Optional
 
 from repro.config import BLOCKS_PER_PAGE, DeviceConfig
 from repro.errors import StorageError
-from repro.sim import Delay, FifoChannel, Server, Signal, Simulator, StatAccumulator, spawn
+from repro.sim import FifoChannel, Server, Signal, Simulator, StatAccumulator
 from repro.storage.latency import DeviceLatencyModel
 
 
@@ -118,8 +122,8 @@ class QueuePair:
     """An SQ/CQ pair.
 
     ``interrupt_enabled`` distinguishes OS-managed queues from SMU queues;
-    the model's delivery mechanism is the same signal — consumers pay their
-    own costs (interrupt delivery vs. snoop) on wake-up.
+    the model's delivery mechanism is the same CQ consumer callback —
+    consumers pay their own costs (interrupt delivery vs. snoop).
     """
 
     def __init__(
@@ -143,8 +147,8 @@ class QueuePair:
         self.completed = 0
         #: Completed commands, in completion order.  A FIFO (rather than a
         #: broadcast signal) guarantees no completion is ever lost when two
-        #: commands finish at the same instant; the consumer is the kernel's
-        #: interrupt handler or the SMU's completion unit.
+        #: commands finish at the same instant; the consumer callback is the
+        #: kernel's interrupt dispatcher or the SMU's completion unit.
         self.cq = FifoChannel(sim, name=f"qp{qid}-cq")
         #: Fired whenever a command completes and its SQ slot frees up —
         #: submitters blocked on a full queue wait here (backpressure).
@@ -168,8 +172,12 @@ class NVMeDevice:
         self.name = name or config.name
         self.latency_model = DeviceLatencyModel(config, rng)
         self._server = Server(sim, capacity=config.parallel_ops, name=f"{self.name}-srv")
-        self._cmd_name = f"{self.name}-cmd"
         self._parallel_ops = float(config.parallel_ops)
+        # Bound once: every command schedules these.
+        self._start_service_cb = self._start_service
+        self._end_service_cb = self._end_service
+        self._complete_late_cb = self._complete_late
+        self._write_done_cb = self._write_done
         self._writes_in_service = 0
         self._qid_counter = itertools.count(1)
         self.queue_pairs: Dict[int, QueuePair] = {}
@@ -208,6 +216,7 @@ class NVMeDevice:
     # ------------------------------------------------------------------
     # data path
     # ------------------------------------------------------------------
+    # repro: hot-path
     def submit(self, qp: QueuePair, command: NVMeCommand) -> None:
         """Doorbell write arrived: device begins fetching the command.
 
@@ -236,31 +245,62 @@ class NVMeDevice:
                 nsid=command.nsid,
                 lba=command.lba,
             )
-        spawn(self.sim, self._execute(qp, command), self._cmd_name)
+        self.sim.schedule_transient(0.0, self._execute, qp, command)
 
+    # repro: hot-path
+    def _execute(self, qp: QueuePair, command: NVMeCommand) -> None:
+        """Command fetched: take a service slot, queueing if all are busy."""
+        self._server.acquire(self._start_service_cb, qp, command)
+
+    # repro: hot-path
+    def _start_service(self, qp: QueuePair, command: NVMeCommand) -> None:
+        service_ns = self._service_time(command)
+        self.sim.schedule_transient(
+            service_ns, self._end_service_cb, qp, command, service_ns
+        )
+
+    # repro: hot-path
     def _service_time(self, command: NVMeCommand) -> float:
         if command.opcode is NVMeOpcode.WRITE:
             self._writes_in_service += 1
             duration = self.latency_model.write_service_ns()
-            self.sim.schedule(duration, self._write_done)
+            self.sim.schedule_transient(duration, self._write_done_cb)
         else:
             occupancy = self._writes_in_service / self._parallel_ops
             duration = self.latency_model.read_service_ns(occupancy)
         return duration
 
+    # repro: hot-path
     def _write_done(self) -> None:
         self._writes_in_service -= 1
 
-    def _execute(self, qp: QueuePair, command: NVMeCommand):
-        yield from self._server.service(lambda: self._service_time(command))
+    # repro: hot-path
+    def _end_service(self, qp: QueuePair, command: NVMeCommand, service_ns: float) -> None:
+        self._server.release(service_ns)
         if self.fault_injector is not None:
             decision = self.fault_injector.decide(self.name, command, self.sim.now)
             if decision is not None:
                 if decision.extra_delay_ns > 0.0:
-                    # A timed-out command holds its slot until the host's
-                    # abort reaps it.
-                    yield Delay(decision.extra_delay_ns)
+                    # A timed-out command holds its SQ slot until the
+                    # host's abort reaps it.
+                    self.sim.schedule_transient(
+                        decision.extra_delay_ns,
+                        self._complete_late_cb,
+                        qp,
+                        command,
+                        decision.status_name,
+                    )
+                    return
                 command.status = NVMeStatus[decision.status_name]
+        self._complete(qp, command)
+
+    # repro: hot-path
+    def _complete_late(self, qp: QueuePair, command: NVMeCommand, status_name: str) -> None:
+        command.status = NVMeStatus[status_name]
+        self._complete(qp, command)
+
+    # repro: hot-path
+    def _complete(self, qp: QueuePair, command: NVMeCommand) -> None:
         command.complete_time_ns = self.sim.now
         qp.outstanding -= 1
         qp.completed += 1

@@ -93,6 +93,38 @@ def test_zero_delay_continuation_inherits_chain():
     assert report.ok, [h.format() for h in report.hazards]
 
 
+def test_consumer_callback_named_as_the_cq_read_site():
+    """A drain charges each CQ read to the consumer callback, not the engine."""
+    sim = Simulator()
+    sanitizer = SimSanitizer()
+    sanitizer.attach_sim(sim)
+    channel = make_watched_channel(sim, sanitizer)
+    got = []
+
+    def interrupt_handler(tag, command):
+        got.append((tag, command))
+
+    channel.consume(interrupt_handler, "qp1")
+
+    def writer_a():
+        channel.put_nowait("a")
+
+    def writer_b():
+        channel.put_nowait("b")
+
+    # Two independent writers at one instant; the drain scheduled by the
+    # first (same chain) reads both entries, so the read of the entry the
+    # other chain wrote is a hazard that names both sites.
+    sim.schedule(10.0, writer_a)
+    sim.schedule(10.0, writer_b)
+    sim.run()
+
+    assert got == [("qp1", "a"), ("qp1", "b")]
+    sites = {site for h in sanitizer.report().hazards for site in (h.site_a, h.site_b)}
+    assert any(site.startswith("test_check_sanitizer.py:interrupt_handler:") for site in sites)
+    assert not any("engine.py" in site or "resources.py" in site for site in sites)
+
+
 def test_write_read_conflict_flagged_but_read_read_is_not():
     sim = Simulator()
     sanitizer = SimSanitizer()

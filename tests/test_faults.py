@@ -274,6 +274,31 @@ class TestInvariantChecker:
         with pytest.raises(InvariantViolation):
             assert_invariants(system)
 
+    def test_entry_left_in_cq_detected(self):
+        system, thread, vma = build_mapped_system(PagingMode.HWDP)
+        touch_pages(system, thread, vma, [0])
+        system.sim.run(until=system.sim.now + 2_000_000.0)
+        assert check_invariants(system).ok
+        # A lost wake-up: the entry is in the CQ but no drain will take it.
+        system.kernel.blockio.qp.cq._items.append(
+            NVMeCommand(NVMeOpcode.READ, nsid=1, lba=0, cid=999)
+        )
+        report = check_invariants(system)
+        assert any("never took" in violation for violation in report.violations)
+        assert not any("drain still pending" in v for v in report.violations)
+
+    def test_pending_cq_drain_detected(self):
+        system, thread, vma = build_mapped_system(PagingMode.HWDP)
+        touch_pages(system, thread, vma, [0])
+        system.sim.run(until=system.sim.now + 2_000_000.0)
+        # Checked between the CQ write and the drain it schedules.
+        system.kernel.blockio.qp.cq.put_nowait(
+            NVMeCommand(NVMeOpcode.READ, nsid=1, lba=0, cid=999)
+        )
+        report = check_invariants(system)
+        assert any("drain still pending" in v for v in report.violations)
+        assert any("never took" in v for v in report.violations)
+
     def test_leaked_pmshr_entry_detected(self):
         system, thread, vma = build_mapped_system(PagingMode.HWDP)
         touch_pages(system, thread, vma, [0])

@@ -209,17 +209,22 @@ class TestMutex:
 
 
 class TestServer:
+    """Jobs are callbacks: ``acquire`` starts one, ``release`` ends it."""
+
     def test_parallel_capacity(self):
         sim = Simulator()
         server = Server(sim, capacity=2)
         done = []
 
-        def job(tag):
-            yield from server.service(100.0)
+        def finish(tag):
+            server.release(100.0)
             done.append((tag, sim.now))
 
+        def start(tag):
+            sim.schedule(100.0, finish, tag)
+
         for tag in range(4):
-            spawn(sim, job(tag))
+            sim.schedule(0.0, server.acquire, start, tag)
         sim.run()
         # Two run in parallel finishing at 100, the next two at 200.
         assert [t for _, t in done] == [100.0, 100.0, 200.0, 200.0]
@@ -232,12 +237,16 @@ class TestServer:
         durations = iter([10.0, 30.0])
         done = []
 
-        def job():
-            yield from server.service(lambda: next(durations))
+        def finish(service_ns):
+            server.release(service_ns)
             done.append(sim.now)
 
-        spawn(sim, job())
-        spawn(sim, job())
+        def start():
+            service_ns = next(durations)
+            sim.schedule(service_ns, finish, service_ns)
+
+        sim.schedule(0.0, server.acquire, start)
+        sim.schedule(0.0, server.acquire, start)
         sim.run()
         assert done == [10.0, 40.0]
 
@@ -245,10 +254,10 @@ class TestServer:
         sim = Simulator()
         server = Server(sim, capacity=1)
 
-        def job():
-            yield from server.service(50.0)
+        def start():
+            sim.schedule(50.0, server.release, 50.0)
 
-        spawn(sim, job())
+        sim.schedule(0.0, server.acquire, start)
         sim.run(until=100.0)
         assert server.utilisation(100.0) == pytest.approx(0.5)
 
@@ -311,3 +320,89 @@ class TestFifoChannel:
         chan = FifoChannel(sim)
         with pytest.raises(IndexError):
             chan.try_get()
+
+
+class TestFifoChannelConsume:
+    """``consume`` wakes exactly where a ``get()``-loop process would."""
+
+    @staticmethod
+    def consumed(sim):
+        chan = FifoChannel(sim)
+        got = []
+        chan.consume(lambda item: got.append((item, sim.now)))
+        return chan, got
+
+    def test_registration_is_one_arm_event(self):
+        sim = Simulator()
+        chan, got = self.consumed(sim)
+        assert chan.drain_pending
+        sim.run()
+        assert sim.events_dispatched == 1
+        assert got == []
+        assert not chan.drain_pending
+
+    def test_entries_queued_before_arming_are_delivered_by_the_arm(self):
+        sim = Simulator()
+        chan, got = self.consumed(sim)
+        chan.put_nowait("early")
+        sim.run()
+        assert sim.events_dispatched == 1
+        assert got == [("early", 0.0)]
+
+    def test_one_drain_event_per_idle_wake(self):
+        sim = Simulator()
+        chan, got = self.consumed(sim)
+        sim.schedule(10.0, chan.put_nowait, "a")
+        sim.schedule(20.0, chan.put_nowait, "b")
+        sim.run()
+        # arm + two puts + one drain per put.
+        assert sim.events_dispatched == 5
+        assert got == [("a", 10.0), ("b", 20.0)]
+
+    def test_same_instant_puts_share_one_drain(self):
+        sim = Simulator()
+        chan, got = self.consumed(sim)
+        sim.schedule(10.0, chan.put_nowait, "a")
+        sim.schedule(10.0, chan.put_nowait, "b")
+        sim.schedule(10.0, chan.put_nowait, "c")
+        sim.run()
+        # arm + three puts + a single drain.
+        assert sim.events_dispatched == 5
+        assert got == [("a", 10.0), ("b", 10.0), ("c", 10.0)]
+        assert len(chan) == 0
+
+    def test_matches_a_get_loop_process(self):
+        def run(use_consume):
+            sim = Simulator()
+            chan = FifoChannel(sim)
+            got = []
+            if use_consume:
+                chan.consume(lambda item: got.append((item, sim.now)))
+            else:
+                def consumer():
+                    while True:
+                        item = yield from chan.get()
+                        got.append((item, sim.now))
+
+                spawn(sim, consumer())
+            for index, time in enumerate([0.0, 5.0, 5.0, 7.0, 7.0, 7.0, 30.0]):
+                sim.schedule(time, chan.put_nowait, index)
+            sim.run()
+            return got, sim.events_dispatched
+
+        assert run(True) == run(False)
+
+    def test_args_are_passed_before_the_item(self):
+        sim = Simulator()
+        chan = FifoChannel(sim)
+        got = []
+        chan.consume(lambda tag, n, item: got.append((tag, n, item)), "qp", 3)
+        sim.schedule(1.0, chan.put_nowait, "entry")
+        sim.run()
+        assert got == [("qp", 3, "entry")]
+
+    def test_second_consumer_rejected(self):
+        sim = Simulator()
+        chan, _ = self.consumed(sim)
+        with pytest.raises(SimulationError):
+            chan.consume(lambda item: None)

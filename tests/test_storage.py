@@ -1,12 +1,18 @@
 """Tests for the NVMe device model and latency model."""
 
+from collections import deque
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.config import OPTANE_PMM, ZSSD, DeviceConfig
 from repro.errors import StorageError
-from repro.sim import Simulator, spawn
+from repro.sim import Completion, Delay, Simulator, WaitSignal, spawn
 from repro.storage import DeviceLatencyModel, NVMeCommand, NVMeDevice, NVMeOpcode
+from repro.storage.nvme import NVMeStatus
 
 
 def make_device(sim=None, config=None):
@@ -164,3 +170,226 @@ class TestNVMeDevice:
         namespace = device.namespaces[1]
         with pytest.raises(StorageError):
             namespace.allocate_blocks((1 << 20) + 1)
+
+
+# ----------------------------------------------------------------------
+# differential check: callbacks against the coroutine reference
+# ----------------------------------------------------------------------
+class RefServer:
+    """The k-server station as a process helper: ``yield from service(d)``.
+
+    The reference the callback :class:`repro.sim.Server` must match: a
+    queued job waits on a ticket, and the release fires the next ticket,
+    whose zero-delay wake-up adds the queue wait and takes the slot.
+    """
+
+    def __init__(self, sim, capacity):
+        self.sim = sim
+        self.capacity = capacity
+        self._delay = Delay(0.0)
+        self._busy = 0
+        self._waiters = deque()
+        self.busy_time_ns = 0.0
+        self.jobs_served = 0
+        self.total_queue_wait_ns = 0.0
+
+    @property
+    def busy(self):
+        return self._busy
+
+    @property
+    def queue_length(self):
+        return len(self._waiters)
+
+    def service(self, duration):
+        if self._busy >= self.capacity:
+            enqueue_time = self.sim.now
+            ticket = Completion(self.sim, "ref-ticket")
+            self._waiters.append(ticket)
+            yield WaitSignal(ticket)
+            self.total_queue_wait_ns += self.sim.now - enqueue_time
+        self._busy += 1
+        service_time = duration()
+        delay = self._delay
+        delay.ns = service_time
+        try:
+            yield delay
+        finally:
+            self._busy -= 1
+            self.busy_time_ns += service_time
+            self.jobs_served += 1
+            if self._waiters:
+                self._waiters.popleft().fire()
+
+
+class RefNVMeDevice(NVMeDevice):
+    """The device side as one process per command over :class:`RefServer`."""
+
+    def __init__(self, sim, config, rng):
+        super().__init__(sim, config, rng)
+        self._server = RefServer(sim, config.parallel_ops)
+
+    def submit(self, qp, command):
+        qp.outstanding += 1
+        qp.submitted += 1
+        command.submit_time_ns = self.sim.now
+        spawn(self.sim, self._execute(qp, command), "ref-cmd")
+
+    def _service_time(self, command):
+        if command.opcode is NVMeOpcode.WRITE:
+            self._writes_in_service += 1
+            duration = self.latency_model.write_service_ns()
+            self.sim.schedule(duration, self._write_done)
+        else:
+            occupancy = self._writes_in_service / self._parallel_ops
+            duration = self.latency_model.read_service_ns(occupancy)
+        return duration
+
+    def _execute(self, qp, command):
+        yield from self._server.service(lambda: self._service_time(command))
+        if self.fault_injector is not None:
+            decision = self.fault_injector.decide(self.name, command, self.sim.now)
+            if decision is not None:
+                if decision.extra_delay_ns > 0.0:
+                    yield Delay(decision.extra_delay_ns)
+                command.status = NVMeStatus[decision.status_name]
+        command.complete_time_ns = self.sim.now
+        qp.outstanding -= 1
+        qp.completed += 1
+        qp.slot_freed.fire(qp)
+        status = command.status
+        if status is not NVMeStatus.SUCCESS:
+            if status is NVMeStatus.COMMAND_TIMEOUT:
+                self.timeouts += 1
+            elif command.opcode is NVMeOpcode.WRITE:
+                self.write_errors += 1
+            else:
+                self.read_errors += 1
+        elif command.opcode is NVMeOpcode.WRITE:
+            self.writes_completed += 1
+            self.write_device_time.add(command.complete_time_ns - command.submit_time_ns)
+        else:
+            self.reads_completed += 1
+            self.read_device_time.add(command.complete_time_ns - command.submit_time_ns)
+        qp.cq.put_nowait(command)
+
+
+class StubInjector:
+    """Fault decisions keyed by command id; logs when each was asked."""
+
+    def __init__(self, faults):
+        self.faults = faults
+        self.asked = []
+
+    def decide(self, device_name, command, now):
+        self.asked.append((command.cid, now))
+        fault = self.faults.get(command.cid)
+        if fault is None:
+            return None
+        status_name, extra_delay_ns = fault
+        return SimpleNamespace(status_name=status_name, extra_delay_ns=extra_delay_ns)
+
+
+#: Arrival grid: a multiple of the device latencies below, so arrivals,
+#: service ends and timeouts share timestamps.
+GRID_NS = 5_000.0
+
+#: Timeouts complete late by one or three grid steps; "error" faults are
+#: the media error matching the opcode.
+TIMEOUTS = {
+    "timeout-short": ("COMMAND_TIMEOUT", 5_000.0),
+    "timeout-long": ("COMMAND_TIMEOUT", 15_000.0),
+}
+
+
+def run_stream(reference, stream, parallel_ops, sigma, seed):
+    """Drive one command stream through one path; return what it observed."""
+    sim = Simulator()
+    config = DeviceConfig(name="diff", read_latency_ns=10_000.0,
+                          write_latency_ns=20_000.0, parallel_ops=parallel_ops,
+                          latency_sigma=sigma)
+    device_cls = RefNVMeDevice if reference else NVMeDevice
+    device = device_cls(sim, config, np.random.default_rng(seed))
+    device.create_namespace(capacity_blocks=1 << 20)
+    pairs = [device.create_queue_pair(), device.create_queue_pair(owner="smu")]
+    deliveries = {0: [], 1: []}
+
+    def deliver(label, command):
+        deliveries[label].append((command.cid, sim.now))
+
+    for label, qp in enumerate(pairs):
+        if reference:
+            def consumer(qp=qp, label=label):
+                while True:
+                    command = yield from qp.cq.get()
+                    deliver(label, command)
+
+            spawn(sim, consumer(), f"ref-consumer-{label}")
+        else:
+            qp.cq.consume(deliver, label)
+
+    faults = {}
+    commands = []
+    for cid, (slot, pair, is_write, fault) in enumerate(stream):
+        opcode = NVMeOpcode.WRITE if is_write else NVMeOpcode.READ
+        if fault == "error":
+            faults[cid] = ("WRITE_FAULT" if is_write else "UNRECOVERED_READ", 0.0)
+        elif fault is not None:
+            faults[cid] = TIMEOUTS[fault]
+        command = NVMeCommand(opcode, nsid=1, lba=cid * 8, cid=cid)
+        commands.append(command)
+        sim.schedule(slot * GRID_NS, device.submit, pairs[pair], command)
+    device.fault_injector = injector = StubInjector(faults)
+    sim.run()
+    server = device._server
+    return {
+        "commands": [(c.cid, c.complete_time_ns, c.status) for c in commands],
+        "deliveries": deliveries,
+        "asked": injector.asked,
+        "device": (device.reads_completed, device.writes_completed,
+                   device.read_errors, device.write_errors, device.timeouts,
+                   device.read_device_time.samples, device.write_device_time.total,
+                   device._writes_in_service, device.in_flight),
+        "server": (server.busy, server.queue_length, server.busy_time_ns,
+                   server.jobs_served, server.total_queue_wait_ns),
+        "pairs": [(qp.outstanding, qp.submitted, qp.completed, len(qp.cq))
+                  for qp in pairs],
+        "events": sim.events_dispatched,
+    }
+
+
+command_streams = st.lists(
+    st.tuples(
+        st.integers(0, 12),  # arrival slot on the grid
+        st.integers(0, 1),  # queue pair
+        st.booleans(),  # write?
+        st.sampled_from([None, None, None, "error", "timeout-short", "timeout-long"]),
+    ),
+    min_size=1,
+    max_size=40,
+)
+
+
+class TestCallbacksMatchCoroutineReference:
+    @settings(max_examples=80, deadline=None)
+    @given(
+        stream=command_streams,
+        parallel_ops=st.integers(1, 4),
+        sigma=st.sampled_from([0.0, 0.03]),
+        seed=st.integers(0, 2**16),
+    )
+    def test_random_streams_match(self, stream, parallel_ops, sigma, seed):
+        reference = run_stream(True, stream, parallel_ops, sigma, seed)
+        callbacks = run_stream(False, stream, parallel_ops, sigma, seed)
+        assert callbacks == reference
+
+    def test_contended_burst_matches(self):
+        # Every command arrives at once on a one-slot device: every start
+        # but the first is a hand-off, and completions coincide with the
+        # timeouts' late completions.
+        stream = [(0, cid % 2, cid % 3 == 0, "timeout-short" if cid == 2 else None)
+                  for cid in range(12)]
+        reference = run_stream(True, stream, 1, 0.0, 1)
+        callbacks = run_stream(False, stream, 1, 0.0, 1)
+        assert callbacks == reference
+        assert callbacks["server"][4] > 0  # commands did queue
