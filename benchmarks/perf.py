@@ -18,8 +18,10 @@ Usage::
 
 ``--check BASELINE`` compares the fresh run against a recorded snapshot
 and exits 1 if any matching ``(experiment, scale)`` entry regressed by
-more than ``--tolerance`` (default 0.25, i.e. >25 % events/sec loss) —
-the CI perf gate.  Entries present in only one of the two runs are
+more than ``--tolerance`` (default 0.25, i.e. >25 % events/sec loss), or
+dispatched a different number of events than the baseline — the CI perf
+gate.  A faster engine must run the same simulation, so the event count
+is checked exactly.  Entries present in only one of the two runs are
 ignored, so the CI subset can check against a full-suite baseline.
 
 The default suite is the full registry at quick scale plus the headline
@@ -320,7 +322,12 @@ def measure_overhead(name: str, scale_name: str, repeats: int) -> dict:
 # regression gate
 # ----------------------------------------------------------------------
 def check_regressions(fresh: dict, baseline: dict, tolerance: float):
-    """Compare matching (experiment, scale) entries; return failure lines."""
+    """Compare matching (experiment, scale) entries; return failure lines.
+
+    An entry fails when its events/sec fell by more than ``tolerance``,
+    or when its dispatched-event count differs from the baseline's
+    (entries without an ``events`` field skip the count check).
+    """
     recorded = {
         (entry["experiment"], entry["scale"]): entry
         for entry in baseline.get("results", [])
@@ -329,7 +336,14 @@ def check_regressions(fresh: dict, baseline: dict, tolerance: float):
     for entry in fresh["results"]:
         key = (entry["experiment"], entry["scale"])
         old = recorded.get(key)
-        if old is None or not old.get("events_per_sec"):
+        if old is None:
+            continue
+        if "events" in old and "events" in entry and entry["events"] != old["events"]:
+            failures.append(
+                f"{key[0]}@{key[1]}: dispatched {entry['events']:,} events, "
+                f"baseline dispatched {old['events']:,}"
+            )
+        if not old.get("events_per_sec"):
             continue
         floor = old["events_per_sec"] * (1.0 - tolerance)
         if entry["events_per_sec"] < floor:
@@ -373,7 +387,8 @@ def main(argv=None) -> int:
     parser.add_argument(
         "--check",
         metavar="BASELINE",
-        help="compare against a recorded BENCH_*.json; exit 1 on regression",
+        help="compare against a recorded BENCH_*.json; exit 1 on an "
+        "events/sec regression or a changed event count",
     )
     parser.add_argument(
         "--tolerance",

@@ -12,7 +12,6 @@ from repro.sim.process import (
     Completion,
     Delay,
     Process,
-    ProcessInterrupt,
     Signal,
     WaitSignal,
     first_of,
@@ -35,7 +34,6 @@ __all__ = [
     "Signal",
     "Completion",
     "Process",
-    "ProcessInterrupt",
     "spawn",
     "first_of",
     "timer",

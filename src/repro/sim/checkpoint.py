@@ -1,7 +1,7 @@
 """Deterministic state digests for the DES core.
 
 The model's simulation state is a live Python object graph: coroutine
-processes are *generator frames*, calendar-queue entries hold bound-method
+processes are *generator frames*, pending engine entries hold bound-method
 callbacks into that graph, and the RNG streams are C-side bit-generator
 state.  Generator frames cannot be serialised, so this module does not
 save state — it *commits* to it:
@@ -103,7 +103,7 @@ class _Capture:
             if ref is not None:
                 return ref
             # Insertion order is preserved deliberately: for OrderedDict
-            # LRU structures and calendar buckets the order *is* state.
+            # LRU structures the order *is* state.
             return {"d": [[self.walk(k), self.walk(v)] for k, v in obj.items()]}
         if cls is set or cls is frozenset:
             ref = self._remember(obj)

@@ -1,43 +1,45 @@
 """Discrete-event simulation engine.
 
-The engine is a calendar-queue simulator.  Pending events live in exact-
-timestamp buckets — ``{time: [event, ...]}`` plus a heap of the *distinct*
-bucketed times — so the common case (bursts of events at one instant:
-zero-delay resume storms, same-cycle hardware activity) costs one dict
-probe and a list append instead of a heap push per event.  Events beyond a
-sliding horizon fall back to an explicit ``(time, seq, event)`` heap and
-migrate into buckets in FIFO order when the near-term calendar drains, so
-far-future timers cannot bloat the bucket table.
+Pending events live in two structures:
 
-FIFO tie-break semantics are exact: within a bucket, append order *is*
-schedule order (the horizon only advances, so an event can never be
-scheduled into a timestamp that older overflow events would later migrate
-into ahead of it), and the overflow heap orders equal times by a
-monotonic sequence number.  Same-instant events therefore fire in the
-order they were scheduled — the property the whole model's determinism
-rests on.
+* a binary **heap** of ``(time, seq, callback, payload, chain)`` entries
+  for future instants, ordered by time and then by ``seq``, a counter
+  that grows with every schedule call;
+* the **instant queue**, a FIFO of ``(callback, payload, chain)`` entries
+  due at the current ``now``: zero delays, and positive delays that float
+  rounding absorbs at a large ``now``.
 
-Two further hot-loop provisions:
+Same-instant events fire in the order they were scheduled — the property
+the whole model's determinism rests on.  A heap entry due at ``now`` was
+scheduled at an earlier instant, so it precedes every instant-queue entry
+made during ``now``.  The dispatch loops therefore pop the heap entries
+due at ``now``, then drain the instant queue, then advance the clock to
+the top of the heap.
 
-* **Slab reuse** — the process layer and the device-side callbacks
-  schedule through :meth:`Simulator.schedule_transient`, which recycles
-  event objects from a free list instead of allocating; the public
-  :meth:`Simulator.schedule` returns ordinary single-use handles.
-* **Pre-bound observation** — trace/sanitizer instrumentation attaches
-  via :meth:`Simulator.attach` (see :mod:`repro.sim.observe`), which
-  compiles the attached observers down to at most two bound callables.
-  With nothing attached the dispatch loop pays a single ``is None``
-  branch and the schedule paths one more.
+``payload`` is the callback's argument tuple.  Events scheduled through
+the public :meth:`Simulator.schedule` carry ``callback=None`` and their
+cancellable :class:`ScheduledEvent` handle as payload; the loops skip a
+cancelled handle without counting it.  Everything else — the process
+layer's wake-ups, the device-side callbacks — goes through
+:meth:`Simulator.schedule_transient`, which allocates nothing but the
+entry tuple.
+
+Observation is pre-bound: trace/sanitizer instrumentation attaches via
+:meth:`Simulator.attach` (see :mod:`repro.sim.observe`), which compiles
+the attached observers down to at most two bound callables.  With nothing
+attached the dispatch loop pays a single ``is None`` branch and the
+schedule paths one more.
 
 The engine knows nothing about processes or resources; those live in
 :mod:`repro.sim.process` and :mod:`repro.sim.resources` and are built
-purely on :meth:`Simulator.schedule`.
+purely on the scheduling calls.
 """
 
 from __future__ import annotations
 
+from collections import deque
 from heapq import heappop, heappush
-from typing import Any, Callable, Dict, List, Optional, Tuple
+from typing import Any, Callable, Deque, Dict, List, Optional, Tuple
 
 from repro.errors import SimulationError
 
@@ -47,37 +49,21 @@ US = 1_000.0
 MS = 1_000_000.0
 SEC = 1_000_000_000.0
 
-#: Width of the bucketed calendar's horizon: events scheduled further than
-#: this past the current low-water mark go to the overflow heap.  1 ms is
-#: far beyond every latency constant in the model, so overflow traffic is
-#: limited to long watchdog timers and idle daemon periods.
-_HORIZON_NS = 1.0 * MS
-
 
 class ScheduledEvent:
-    """Handle for a scheduled callback; allows cancellation.
+    """Handle for a callback scheduled with :meth:`Simulator.schedule`.
 
-    The engine never removes cancelled entries from the calendar eagerly;
-    a cancelled event is simply skipped when its bucket drains.  This
-    keeps cancellation O(1).
+    The engine never removes a cancelled entry eagerly; it is skipped when
+    it comes up for dispatch.  This keeps cancellation O(1).
     """
 
-    __slots__ = ("time", "callback", "args", "cancelled", "chain", "pooled")
+    __slots__ = ("time", "callback", "args", "cancelled")
 
     def __init__(self, time: float, callback: Callable[..., Any], args: Tuple[Any, ...]):
         self.time = time
         self.callback = callback
         self.args = args
         self.cancelled = False
-        #: Causal-chain tag assigned by :class:`repro.check.sanitizer.
-        #: SimSanitizer` when one is attached (0 otherwise): a zero-delay
-        #: event inherits the scheduling dispatch's chain, marking its
-        #: same-timestamp ordering as causal rather than a FIFO tie-break.
-        self.chain = 0
-        #: True for slab-recycled events (see ``schedule_transient``):
-        #: the engine returns these to the free list after they fire or
-        #: their tombstone is skipped.
-        self.pooled = False
 
     def cancel(self) -> None:
         """Prevent the callback from firing.  Idempotent."""
@@ -107,24 +93,11 @@ class Simulator:
         #: property call costs real time at that frequency.  Only the
         #: engine writes it.
         self.now: float = 0.0
-        #: Exact-timestamp calendar: all events at one instant share one
-        #: bucket, in schedule (= FIFO) order.
-        self._buckets: Dict[float, List[ScheduledEvent]] = {}
-        #: Heap of the distinct times present in ``_buckets``.
-        self._times: List[float] = []
-        #: Far-future fallback, ordered by ``(time, seq)``.
-        self._overflow: List[Tuple[float, int, ScheduledEvent]] = []
-        self._overflow_seq = 0
-        #: Events at or before this absolute time are bucketed; later ones
-        #: overflow.  Only ever advances (the FIFO-exactness invariant).
-        self._horizon: float = _HORIZON_NS
-        #: The bucket currently being drained, its time, and the index of
-        #: the next entry to dispatch within it.
-        self._active_bucket: Optional[List[ScheduledEvent]] = None
-        self._active_time: float = 0.0
-        self._active_index = 0
-        #: Free list for slab-recycled transient events.
-        self._event_pool: List[ScheduledEvent] = []
+        #: Future events, ``(time, seq, callback, payload, chain)``.
+        self._heap: List[Tuple[float, int, Any, Any, int]] = []
+        self._seq = 0
+        #: Events due at ``now``, ``(callback, payload, chain)``, FIFO.
+        self._instant: Deque[Tuple[Any, Any, int]] = deque()
         self._running = False
         self._stop = False
         #: Number of events dispatched so far (useful for budget checks).
@@ -207,66 +180,43 @@ class Simulator:
         """Schedule ``callback(*args)`` to run ``delay`` ns from now.
 
         ``delay`` must be non-negative; zero-delay events run after all
-        events already scheduled for the current instant.
+        events already scheduled for the current instant.  Returns a
+        handle whose :meth:`ScheduledEvent.cancel` drops the event.
         """
         if delay < 0:
             # A negative delay would fire in the simulation's past and
-            # silently corrupt the calendar queue's monotonic order.
+            # silently corrupt the heap's monotonic order.
             raise SimulationError(f"cannot schedule into the past (delay={delay})")
-        time = self.now + delay
+        now = self.now
+        time = now + delay
         event = ScheduledEvent(time, callback, args)
-        if self._chain_hook is not None:
-            event.chain = self._chain_hook(time)
-        if time <= self._horizon:
-            bucket = self._buckets.get(time)
-            if bucket is None:
-                self._buckets[time] = [event]  # repro: allow[REP121] reason=one bucket per distinct timestamp, amortised across every event appended at that instant
-                heappush(self._times, time)
-            else:
-                bucket.append(event)
+        hook = self._chain_hook
+        chain = 0 if hook is None else hook(time)
+        if time <= now:
+            self._instant.append((None, event, chain))
         else:
-            self._overflow_seq += 1
-            heappush(self._overflow, (time, self._overflow_seq, event))
+            self._seq = seq = self._seq + 1
+            heappush(self._heap, (time, seq, None, event, chain))
         return event
 
     # repro: hot-path
-    def schedule_transient(
-        self, delay: float, callback: Callable[..., Any], *args: Any
-    ) -> ScheduledEvent:
-        """Fast-path schedule with a slab-recycled event object.
+    def schedule_transient(self, delay: float, callback: Callable[..., Any], *args: Any) -> None:
+        """Schedule ``callback(*args)`` without a cancellation handle.
 
-        Contract (why this is not the public API): the caller must drop
-        every reference to the returned handle once the event has fired
-        or been cancelled — the engine recycles the object the moment it
-        leaves the calendar.  ``delay`` is trusted non-negative.  The
-        process layer's wake-ups and the device-side callbacks (NVMe
-        commands, completion-queue drains) are the intended callers.
+        The fast path behind the process layer's wake-ups and the
+        device-side callbacks (NVMe commands, completion-queue drains):
+        it allocates only the queue entry.  ``delay`` is trusted
+        non-negative.
         """
-        time = self.now + delay
-        pool = self._event_pool
-        if pool:
-            event = pool.pop()
-            event.time = time
-            event.callback = callback
-            event.args = args
-            event.cancelled = False
-            event.chain = 0
+        now = self.now
+        time = now + delay
+        hook = self._chain_hook
+        chain = 0 if hook is None else hook(time)
+        if time <= now:
+            self._instant.append((callback, args, chain))
         else:
-            event = ScheduledEvent(time, callback, args)
-            event.pooled = True
-        if self._chain_hook is not None:
-            event.chain = self._chain_hook(time)
-        if time <= self._horizon:
-            bucket = self._buckets.get(time)
-            if bucket is None:
-                self._buckets[time] = [event]  # repro: allow[REP121] reason=one bucket per distinct timestamp, amortised across every event appended at that instant
-                heappush(self._times, time)
-            else:
-                bucket.append(event)
-        else:
-            self._overflow_seq += 1
-            heappush(self._overflow, (time, self._overflow_seq, event))
-        return event
+            self._seq = seq = self._seq + 1
+            heappush(self._heap, (time, seq, callback, args, chain))
 
     def schedule_at(self, time: float, callback: Callable[..., Any], *args: Any) -> ScheduledEvent:
         """Schedule ``callback(*args)`` at an absolute time."""
@@ -279,70 +229,32 @@ class Simulator:
     # ------------------------------------------------------------------
     # execution
     # ------------------------------------------------------------------
-    def _migrate_overflow(self) -> None:
-        """Move the next window of far-future events into the calendar.
-
-        Called only with the bucket calendar empty.  Overflow entries pop
-        in ``(time, seq)`` order, so bucket append order stays FIFO; the
-        horizon advance guarantees no *later* schedule can slip in front
-        of a migrated event at the same timestamp.
-        """
-        overflow = self._overflow
-        horizon = overflow[0][0] + _HORIZON_NS
-        self._horizon = horizon
-        buckets = self._buckets
-        times = self._times
-        while overflow and overflow[0][0] <= horizon:
-            time, _, event = heappop(overflow)
-            bucket = buckets.get(time)
-            if bucket is None:
-                buckets[time] = [event]
-                heappush(times, time)
-            else:
-                bucket.append(event)
-
     # repro: hot-path
     def step(self) -> bool:
         """Dispatch the next pending event.  Returns False if queue is empty."""
-        pool = self._event_pool
+        heap = self._heap
+        instant = self._instant
         while True:
-            bucket = self._active_bucket
-            if bucket is None:
-                if self._times:
-                    time = heappop(self._times)
-                    self._active_time = time
-                    bucket = self._active_bucket = self._buckets[time]
-                    self._active_index = 0
-                elif self._overflow:
-                    self._migrate_overflow()
+            # A heap entry due now precedes the instant queue; otherwise
+            # the instant queue drains before the clock advances.
+            if heap and (not instant or heap[0][0] <= self.now):
+                time, _, callback, payload, chain = heappop(heap)
+            elif instant:
+                time = self.now
+                callback, payload, chain = instant.popleft()
+            else:
+                return False
+            if callback is None:
+                if payload.cancelled:
                     continue
-                else:
-                    return False
-            index = self._active_index
-            if index >= len(bucket):
-                del self._buckets[self._active_time]
-                self._active_bucket = None
-                continue
-            event = bucket[index]
-            self._active_index = index + 1
-            if event.cancelled:
-                if event.pooled:
-                    event.callback = None
-                    event.args = ()
-                    pool.append(event)
-                continue
-            self.now = self._active_time
+                callback = payload.callback
+                payload = payload.args
+            self.now = time
             self.events_dispatched += 1
-            callback = event.callback
-            args = event.args
-            if event.pooled:
-                event.callback = None
-                event.args = ()
-                pool.append(event)
             hook = self._dispatch_hook
             if hook is not None:
-                hook(self.now, event.chain)
-            callback(*args)
+                hook(time, chain)
+            callback(*payload)
             return True
 
     def stop(self) -> None:
@@ -359,9 +271,12 @@ class Simulator:
         """Run until the queue drains, :meth:`stop` is called, ``until``
         ns is reached, or ``max_events`` have been dispatched.
 
-        When ``until`` is given, the clock is advanced to exactly ``until``
-        even if the last event fires earlier, so time-weighted statistics
-        observed after :meth:`run` cover the full interval.
+        When ``until`` is given and no pending event is due by then, the
+        clock is advanced to exactly ``until`` even if the last event
+        fired earlier, so time-weighted statistics observed after
+        :meth:`run` cover the full interval.  A run cut short by
+        ``max_events`` or :meth:`stop` leaves the clock at the last
+        dispatched event.
         """
         if self._running:
             raise SimulationError("Simulator.run() is not reentrant")
@@ -377,126 +292,70 @@ class Simulator:
 
     # repro: hot-path
     def _run_unbounded(self) -> None:
-        """The hot loop: drain the calendar with everything inlined.
-
-        Mirrors :meth:`step` exactly; duplicated so the common
-        no-``until``/no-budget run pays no per-event method call.
-        """
-        buckets = self._buckets
-        times = self._times
-        pool = self._event_pool
+        """The hot loop: :meth:`step` inlined, so the common
+        no-``until``/no-budget run pays no per-event method call."""
+        heap = self._heap
+        instant = self._instant
+        popleft = instant.popleft
         while True:
-            bucket = self._active_bucket
-            if bucket is None:
-                if times:
-                    time = heappop(times)
-                    self._active_time = time
-                    bucket = self._active_bucket = buckets[time]
-                    self._active_index = 0
-                elif self._overflow:
-                    self._migrate_overflow()
+            if heap and (not instant or heap[0][0] <= self.now):
+                time, _, callback, payload, chain = heappop(heap)
+            elif instant:
+                time = self.now
+                callback, payload, chain = popleft()
+            else:
+                return
+            if callback is None:
+                if payload.cancelled:
                     continue
-                else:
-                    return
-            index = self._active_index
-            if index >= len(bucket):
-                del buckets[self._active_time]
-                self._active_bucket = None
-                continue
-            event = bucket[index]
-            self._active_index = index + 1
-            if event.cancelled:
-                if event.pooled:
-                    event.callback = None
-                    event.args = ()
-                    pool.append(event)
-                continue
-            self.now = self._active_time
+                callback = payload.callback
+                payload = payload.args
+            self.now = time
             self.events_dispatched += 1
-            callback = event.callback
-            args = event.args
-            if event.pooled:
-                event.callback = None
-                event.args = ()
-                pool.append(event)
             hook = self._dispatch_hook
             if hook is not None:
-                hook(self.now, event.chain)
-            callback(*args)
+                hook(time, chain)
+            callback(*payload)
             if self._stop:
                 return
 
     def _run_bounded(self, until: Optional[float], max_events: Optional[int]) -> None:
         dispatched = 0
-        while True:
-            if max_events is not None and dispatched >= max_events:
-                break
+        while max_events is None or dispatched < max_events:
             next_time = self.peek()
-            if next_time is None:
-                break
-            if until is not None and next_time > until:
+            if next_time is None or (until is not None and next_time > until):
                 break
             self.step()
             dispatched += 1
             if self._stop:
                 break
         if until is not None and self.now < until:
-            self.now = until
+            # Never past a pending event: the next run would otherwise
+            # dispatch it with the clock going backwards.
+            next_time = self.peek()
+            if next_time is None or next_time > until:
+                self.now = until
 
     def peek(self) -> Optional[float]:
         """Time of the next pending (non-cancelled) event, or None.
 
-        Like the dispatch loops, lazily discards cancelled tombstones on
-        the way to the answer — but never *activates* a bucket: dispatch
-        order must stay immune to whether anyone peeked between events
-        (a peeked-ahead bucket would otherwise outrank a nearer timestamp
-        scheduled afterwards).
+        Discards cancelled entries at the front of both queues on the way
+        to the answer; which live entry dispatches next is unaffected.
         """
-        pool = self._event_pool
-        while True:
-            bucket = self._active_bucket
-            if bucket is not None:
-                # Scan the remainder of the bucket being drained.
-                index = self._active_index
-                while index < len(bucket):
-                    event = bucket[index]
-                    if not event.cancelled:
-                        self._active_index = index
-                        return self._active_time
-                    if event.pooled:
-                        event.callback = None
-                        event.args = ()
-                        pool.append(event)
-                    index += 1
-                self._active_index = index
-                del self._buckets[self._active_time]
-                self._active_bucket = None
-                continue
-            if not self._times:
-                if self._overflow:
-                    self._migrate_overflow()
-                    continue
-                return None
-            time = self._times[0]
-            bucket = self._buckets[time]
-            while bucket and bucket[0].cancelled:
-                event = bucket.pop(0)
-                if event.pooled:
-                    event.callback = None
-                    event.args = ()
-                    pool.append(event)
-            if bucket:
-                return time
-            del self._buckets[time]
-            heappop(self._times)
+        heap = self._heap
+        instant = self._instant
+        while heap and heap[0][2] is None and heap[0][3].cancelled:
+            heappop(heap)
+        while instant and instant[0][0] is None and instant[0][1].cancelled:
+            instant.popleft()
+        if instant:
+            return self.now
+        return heap[0][0] if heap else None
 
     @property
     def pending_events(self) -> int:
         """Number of queued events, including cancelled tombstones."""
-        count = sum(len(bucket) for bucket in self._buckets.values())
-        if self._active_bucket is not None:
-            count -= self._active_index
-        return count + len(self._overflow)
+        return len(self._heap) + len(self._instant)
 
     # ------------------------------------------------------------------
     # state digests
@@ -504,34 +363,28 @@ class Simulator:
     def snapshot(self) -> Dict[str, Any]:
         """Structural snapshot of the engine at the current event boundary.
 
-        Returns the clock, dispatch counter, calendar-queue contents
-        (live event references: the active bucket's undrained remainder
-        plus every other bucket, cancelled tombstones skipped), the
-        overflow heap, the slab free-list capacity, and attached-observer
-        bookkeeping by class name.  The pending events are *references*,
-        not copies — the snapshot is consumed by the deep capture in
-        :mod:`repro.sim.checkpoint` (for state digests).
+        Returns the clock, the dispatch counter, the pending events as
+        ``(time, callback, payload, chain)`` in dispatch order (heap
+        entries due now, the instant queue, then the later heap entries
+        by ``(time, seq)``; cancelled handles skipped), and the attached
+        observers by class name.  Listing entries in dispatch order makes
+        a digest commit to that order rather than to the heap's memory
+        layout.  The entries hold *references*, not copies — the snapshot
+        is consumed by the deep capture in :mod:`repro.sim.checkpoint`
+        (for state digests).
         """
-        buckets: List[Tuple[float, List[ScheduledEvent]]] = []
-        for time in sorted(self._buckets):
-            entries = self._buckets[time]
-            if entries is self._active_bucket:
-                entries = entries[self._active_index :]
-            pending = [event for event in entries if not event.cancelled]
-            if pending:
-                buckets.append((time, pending))
+        now = self.now
+        heap = sorted(self._heap)
+        due = [(time, cb, payload, chain) for time, _, cb, payload, chain in heap if time <= now]
+        later = [(time, cb, payload, chain) for time, _, cb, payload, chain in heap if time > now]
+        instant = [(now, cb, payload, chain) for cb, payload, chain in self._instant]
         return {
-            "now": self.now,
+            "now": now,
             "events_dispatched": self.events_dispatched,
-            "horizon": self._horizon,
-            "overflow_seq": self._overflow_seq,
-            "buckets": buckets,
-            # Sorted (time, seq) is canonical for digests (heap layout is
-            # an implementation detail).
-            "overflow": sorted(
-                (entry for entry in self._overflow if not entry[2].cancelled),
-                key=lambda entry: (entry[0], entry[1]),
-            ),
-            "event_pool": len(self._event_pool),
+            "pending": [
+                entry
+                for entry in due + instant + later
+                if entry[1] is not None or not entry[2].cancelled
+            ],
             "observers": sorted(type(observer).__name__ for observer in self._observers),
         }

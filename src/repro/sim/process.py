@@ -24,6 +24,11 @@ reads like straight-line procedures::
         value = yield WaitSignal(io_done)
         ...
 
+Every wake-up is one :meth:`Simulator.schedule_transient` event, so a
+process holds no handle to its pending wake-up and cannot be interrupted:
+a wait ends only when its delay elapses, its signal fires or the joined
+process finishes.
+
 Processes propagate exceptions: an uncaught exception inside a process is
 re-raised out of :meth:`Simulator.run` at the point the event fires, which
 turns model bugs into loud test failures instead of silent stalls.
@@ -34,7 +39,7 @@ from __future__ import annotations
 from typing import Any, Generator, List, Optional
 
 from repro.errors import SimulationError
-from repro.sim.engine import ScheduledEvent, Simulator
+from repro.sim.engine import Simulator
 
 #: Type alias for the generators that implement process bodies.
 ProcessBody = Generator[Any, Any, Any]
@@ -163,7 +168,6 @@ class Process:
         "finished",
         "result",
         "_joiners",
-        "_pending_event",
         "_resume_cb",
         "on_finish",
     )
@@ -175,7 +179,6 @@ class Process:
         self.finished = False
         self.result: Any = None
         self._joiners: List["Process"] = []
-        self._pending_event: Optional[ScheduledEvent] = None
         #: ``self._resume`` bound once: every wake-up of this process
         #: reuses the same bound method instead of materialising a new
         #: one per event (the process layer's hottest allocation).
@@ -190,14 +193,15 @@ class Process:
     def _start(self) -> None:
         self._resume(None)
 
+    # repro: hot-path
     def _resume(self, value: Any) -> None:
-        """Advance the generator until it yields the next command.
+        """Advance the generator until it yields the next command, and
+        arrange the wake-up that command asks for.
 
-        The command dispatch below mirrors :meth:`_dispatch` (kept for
-        the interrupt path); it is inlined here because this method runs
-        for nearly every event in a simulation.
+        Runs for nearly every event in a simulation, so the two common
+        commands are tested by exact class; joins and errors take
+        :meth:`_dispatch_slow`.
         """
-        self._pending_event = None
         try:
             command = self._body.send(value)
         except StopIteration as stop:
@@ -205,20 +209,8 @@ class Process:
             return
         cls = command.__class__
         if cls is Delay:
-            self._pending_event = self.sim.schedule_transient(
-                command.ns, self._resume_cb, None
-            )
+            self.sim.schedule_transient(command.ns, self._resume_cb, None)
         elif cls is WaitSignal:
-            command.signal._add_waiter(self)
-        else:
-            self._dispatch_slow(command)
-
-    def _dispatch(self, command: Any) -> None:
-        if isinstance(command, Delay):
-            self._pending_event = self.sim.schedule_transient(
-                command.ns, self._resume_cb, None
-            )
-        elif isinstance(command, WaitSignal):
             command.signal._add_waiter(self)
         else:
             self._dispatch_slow(command)
@@ -246,39 +238,9 @@ class Process:
         if self.on_finish is not None:
             self.on_finish(self)
 
-    # ------------------------------------------------------------------
-    def interrupt(self) -> None:
-        """Throw :class:`ProcessInterrupt` into the process at its wait point.
-
-        Only legal while the process is suspended on a Delay; waits on
-        signals are not interruptible in this model (the model never needs
-        it and it would complicate signal bookkeeping).
-        """
-        if self.finished:
-            return
-        if self._pending_event is None:
-            raise SimulationError(
-                f"process {self.name!r} is not suspended on a Delay; cannot interrupt"
-            )
-        self._pending_event.cancel()
-        self._pending_event = None
-        try:
-            command = self._body.throw(ProcessInterrupt())
-        except StopIteration as stop:
-            self._finish(stop.value)
-            return
-        except ProcessInterrupt:
-            self._finish(None)
-            return
-        self._dispatch(command)
-
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         state = "finished" if self.finished else "running"
         return f"<Process {self.name} {state}>"
-
-
-class ProcessInterrupt(Exception):
-    """Raised inside a process body when :meth:`Process.interrupt` is called."""
 
 
 def first_of(sim: Simulator, *signals: Signal) -> Completion:

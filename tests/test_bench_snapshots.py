@@ -171,3 +171,32 @@ def test_check_regressions_gate():
     failures = perf.check_regressions(fresh, baseline, tolerance=0.25)
     assert len(failures) == 1 and "fig13" in failures[0]
     assert perf.check_regressions(fresh, baseline, tolerance=0.35) == []
+
+
+def test_check_regressions_gates_event_counts():
+    baseline = {
+        "results": [
+            {"experiment": "fig13", "scale": "quick", "events": 959_868,
+             "events_per_sec": 100_000.0},
+            {"experiment": "variance", "scale": "quick", "events": 231_158,
+             "events_per_sec": 50_000.0},
+            {"experiment": "fig11", "scale": "quick", "events_per_sec": 50_000.0},
+        ]
+    }
+    fresh = {
+        "results": [
+            # Faster, but dispatched fewer events: fails at any tolerance.
+            {"experiment": "fig13", "scale": "quick", "events": 959_860,
+             "events_per_sec": 200_000.0},
+            # Same count: passes.
+            {"experiment": "variance", "scale": "quick", "events": 231_158,
+             "events_per_sec": 50_000.0},
+            # The baseline records no count: only events/sec is checked.
+            {"experiment": "fig11", "scale": "quick", "events": 1,
+             "events_per_sec": 50_000.0},
+        ]
+    }
+    failures = perf.check_regressions(fresh, baseline, tolerance=0.99)
+    assert len(failures) == 1
+    assert "fig13@quick" in failures[0]
+    assert "959,860" in failures[0] and "959,868" in failures[0]

@@ -52,7 +52,7 @@ def test_negative_delay_rejected():
 
 
 def test_negative_delay_rejected_mid_run_leaves_queue_intact():
-    """A rejected schedule must not corrupt the calendar queue.
+    """A rejected schedule must not corrupt the event queue.
 
     The guard has to fire *before* the event is pushed: if a negative
     delay sneaked into the heap, heap order relative to already-queued
@@ -111,6 +111,37 @@ def test_run_until_stops_and_advances_clock():
     assert sim.now == 50.0
     sim.run()
     assert fired == ["early", "late"]
+
+
+def test_run_until_cut_by_max_events_keeps_clock_at_last_event():
+    sim = Simulator()
+    fired = []
+    for time in (10.0, 20.0, 30.0):
+        sim.schedule(time, lambda: fired.append(sim.now))
+    sim.run(until=100.0, max_events=1)
+    # Events at 20 and 30 are still due before ``until``: jumping to 100
+    # would make the next run dispatch them with the clock going back.
+    assert sim.now == 10.0
+    sim.run()
+    assert fired == [10.0, 20.0, 30.0]
+    assert sim.now == 30.0
+
+
+def test_run_until_cut_by_stop_keeps_clock_at_last_event():
+    sim = Simulator()
+    fired = []
+
+    def stopper():
+        fired.append(sim.now)
+        sim.stop()
+
+    sim.schedule(10.0, stopper)
+    sim.schedule(20.0, lambda: fired.append(sim.now))
+    sim.run(until=100.0)
+    assert sim.now == 10.0
+    sim.run(until=100.0)
+    assert fired == [10.0, 20.0]
+    assert sim.now == 100.0
 
 
 def test_run_max_events():

@@ -8,7 +8,6 @@ from repro.sim import (
     Delay,
     FifoChannel,
     Mutex,
-    ProcessInterrupt,
     Server,
     Signal,
     Simulator,
@@ -150,35 +149,6 @@ def test_unsupported_yield_raises():
     spawn(sim, body())
     with pytest.raises(SimulationError):
         sim.run()
-
-
-def test_interrupt_during_delay():
-    sim = Simulator()
-    log = []
-
-    def sleeper():
-        try:
-            yield Delay(1000.0)
-            log.append("slept-full")
-        except ProcessInterrupt:
-            log.append(("interrupted", sim.now))
-
-    proc = spawn(sim, sleeper())
-    sim.schedule(10.0, proc.interrupt)
-    sim.run()
-    assert log == [("interrupted", 10.0)]
-    assert proc.finished
-
-
-def test_interrupt_finished_process_is_noop():
-    sim = Simulator()
-
-    def body():
-        yield Delay(1.0)
-
-    proc = spawn(sim, body())
-    sim.run()
-    proc.interrupt()  # no error
 
 
 class TestMutex:
