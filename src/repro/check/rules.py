@@ -32,13 +32,15 @@ REP004    no float ``==``/``!=`` against ``sim.now`` or event-time
           values — exact float comparison of computed times is fragile
 REP005    no ``id()``-based ordering or hashing of simulation objects —
           CPython addresses vary across runs
-REP006    no ``schedule()`` call with a provably negative literal delay
+REP006    no ``schedule()`` call or ``yield`` with a provably negative
+          literal delay
 REP101    no ``+``/``-`` (or suffix-contradicting assignment) between
           different units (cycles / ns / us / instructions / …)
 REP102    no ordered comparison between different units
 REP103    no untranslated unit flowing into a nanosecond delay sink
-          (``schedule`` / ``stall`` / ``kernel_phase`` / ``Delay`` /
-          ``timer``) or into the wrong converter argument
+          (``schedule`` / ``stall`` / ``kernel_phase`` / ``timer`` /
+          a process's bare ``yield``) or into the wrong converter
+          argument
 REP111    every acquired free-list frame reaches a release/install on
           all CFG paths (exception and fault-degrade edges included)
 REP112    every acquired PMSHR entry reaches ``release``/ownership
@@ -272,7 +274,6 @@ def check_global_rng(ctx: LintContext) -> Iterator[Diagnostic]:
 #: queue/collection mutation).
 _ORDER_SINKS = {
     "schedule",
-    "schedule_at",
     "add",
     "append",
     "appendleft",
@@ -540,7 +541,7 @@ def check_id_ordering(ctx: LintContext) -> Iterator[Diagnostic]:
 
 
 # ----------------------------------------------------------------------
-# REP006 — provably negative schedule delays
+# REP006 — provably negative delays
 # ----------------------------------------------------------------------
 def _negative_literal(node: ast.expr) -> bool:
     if (
@@ -562,10 +563,20 @@ def _negative_literal(node: ast.expr) -> bool:
 @rule(
     "REP006",
     "negative-delay",
-    "schedule() with a provably negative literal delay",
+    "schedule() or yield with a provably negative literal delay",
 )
 def check_negative_delay(ctx: LintContext) -> Iterator[Diagnostic]:
     for node in ast.walk(ctx.tree):
+        if isinstance(node, ast.Yield):
+            if node.value is not None and _negative_literal(node.value):
+                yield _diag(
+                    ctx,
+                    "REP006",
+                    node,
+                    "yield of a negative literal delay resumes in the "
+                    "simulation's past (the engine rejects it at runtime)",
+                )
+            continue
         if not isinstance(node, ast.Call):
             continue
         if _attr_or_name(node.func) != "schedule" or not node.args:

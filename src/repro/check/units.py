@@ -61,13 +61,12 @@ CONVERTERS: Dict[str, Tuple[str, str]] = {
 }
 
 #: Calls whose delay/duration argument is nanoseconds, and its position.
+#: A bare ``yield <expr>`` is a nanosecond sink too: a process yields its
+#: delays as plain numbers (see :mod:`repro.sim.process`).
 NS_SINKS: Dict[str, int] = {
     "schedule": 0,
-    "schedule_at": 0,
-    "schedule_transient": 0,
     "stall": 0,
     "kernel_phase": 0,
-    "Delay": 0,
     "timer": 1,
 }
 
@@ -160,8 +159,23 @@ class UnitInference:
                 self.unit_of(element, env, problems)
             return None
         if isinstance(node, (ast.Await, ast.Yield, ast.YieldFrom)):
-            if getattr(node, "value", None) is not None:
-                self.unit_of(node.value, env, problems)
+            value = getattr(node, "value", None)
+            unit = None if value is None else self.unit_of(value, env, problems)
+            if (
+                problems is not None
+                and isinstance(node, ast.Yield)
+                and unit not in (None, NEUTRAL, NS)
+            ):
+                problems.append(
+                    (
+                        "REP103",
+                        node,
+                        "a yielded number is a nanosecond delay but this "
+                        f"value is {unit} — convert with "
+                        "CpuConfig.cycles_to_ns (or the matching factor) "
+                        "first",
+                    )
+                )
             return None
         if isinstance(node, ast.Starred):
             return self.unit_of(node.value, env, problems)

@@ -464,6 +464,14 @@ class ControlPlaneConfig:
     #: built (config cannot import the OS layer).
     reclaim_policy: str = "clock"
 
+    def __post_init__(self) -> None:
+        # A daemon re-arms its period forever: a zero period would freeze
+        # the clock and a negative one would fail only once simulated.
+        if self.kpted_period_ns <= 0:
+            raise ConfigError("kpted_period_ns must be positive")
+        if self.kpoold_period_ns <= 0:
+            raise ConfigError("kpoold_period_ns must be positive")
+
 
 # ----------------------------------------------------------------------
 # Memory

@@ -37,7 +37,7 @@ from typing import Any, Callable, Dict, Iterator, List, Optional
 
 from repro.errors import SmuError
 from repro.mem.address import PAGE_SIZE
-from repro.sim import Counter, Delay, WaitSignal, spawn
+from repro.sim import Counter, spawn
 from repro.vm.pte import PteStatus, decode_pte, is_anon_first_touch
 
 #: Bytes per leaf page-table entry.
@@ -150,10 +150,10 @@ class Prefetcher:
             smu.pmshr.release(entry, None)
             return
         qp.reserved += 1
-        yield Delay(smu.host.issue_latency_ns)
+        yield smu.host.issue_latency_ns
         io_done = smu._register_io(entry)
         smu.host.issue_read(decoded.device_id, decoded.lba, pfn, entry.index, claimed=True)
-        yield WaitSignal(io_done)
+        yield io_done
         command = io_done.value
         if command is not None and not command.ok:
             # Speculative reads are never retried: return the frame and
@@ -163,10 +163,8 @@ class Prefetcher:
             self._return_frame(free_queue, pfn)
             smu.pmshr.release(entry, None)
             return
-        yield Delay(
-            smu.config.cpu.cycles_to_ns(
-                smu.config.smu.completion_unit_cycles + smu.config.smu.entry_update_cycles
-            )
+        yield smu.config.cpu.cycles_to_ns(
+            smu.config.smu.completion_unit_cycles + smu.config.smu.entry_update_cycles
         )
         smu.updater.apply(
             page_table, entry.pte_addr, entry.pmd_entry_addr, entry.pud_entry_addr, pfn

@@ -41,7 +41,6 @@ from repro.sim import (
     Signal,
     Simulator,
     StatAccumulator,
-    WaitSignal,
     first_of,
     timer,
 )
@@ -406,7 +405,7 @@ class Smu:
     def barrier(self, process: Any) -> Generator[Any, Any, None]:
         """The munmap SMU barrier (§IV-C): wait out this process's misses."""
         while self.outstanding_for(process) > 0:
-            yield WaitSignal(self._barrier_signal)
+            yield self._barrier_signal
 
     @property
     def outstanding(self) -> int:

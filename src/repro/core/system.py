@@ -121,26 +121,18 @@ class System:
                 remaining += 1
                 process.on_finish = count_down
         if remaining:
-            if max_events is None:
-                sim.run()
-                if remaining:
+            started = sim.events_dispatched
+            sim.run(max_events=max_events)
+            if remaining:
+                dispatched = sim.events_dispatched - started
+                if max_events is not None and dispatched >= max_events:
                     raise SimulationError(
-                        "event queue drained but workload processes have not "
-                        "finished — a wait was lost"
+                        f"workload did not finish within {max_events} events"
                     )
-            else:
-                dispatched = 0
-                while remaining:
-                    if dispatched >= max_events:
-                        raise SimulationError(
-                            f"workload did not finish within {max_events} events"
-                        )
-                    if not sim.step():
-                        raise SimulationError(
-                            "event queue drained but workload processes have "
-                            "not finished — a wait was lost"
-                        )
-                    dispatched += 1
+                raise SimulationError(
+                    "event queue drained but workload processes have not "
+                    "finished — a wait was lost"
+                )
         finish = sim.now
         if stop_daemons:
             self.kernel.stop()

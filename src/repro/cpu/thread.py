@@ -29,7 +29,7 @@ from repro.config import CpuConfig
 from repro.cpu.core import CoreState, LogicalCore
 from repro.cpu.perf import PerfCounters
 from repro.errors import SimulationError
-from repro.sim import Delay, Signal, Simulator, WaitSignal
+from repro.sim import Signal, Simulator
 
 #: Instruction-batch quantum: small enough that SMT/pollution state is
 #: sampled every few microseconds, large enough to keep event counts low.
@@ -88,11 +88,6 @@ class ThreadContext:
             for event in cpu.miss_rates_per_kinstr
         )
         self._process_kernel = getattr(process, "kernel", None)
-        #: Reusable Delay command.  The process layer copies ``ns`` out of
-        #: a yielded Delay synchronously at the yield point, so a single
-        #: mutable instance per thread is safe and saves an allocation per
-        #: compute quantum / kernel phase.
-        self._delay = Delay(0.0)
 
     # ------------------------------------------------------------------
     # user execution
@@ -113,14 +108,12 @@ class ThreadContext:
         # association ``((base * scale) * pollution) * smt`` matches the
         # original left-to-right fold bit for bit.
         scaled_base_ipc = self.cpu.base_user_ipc * self.ipc_scale
-        delay = self._delay
         while remaining > 0:
             chunk = min(remaining, COMPUTE_QUANTUM)
             ipc = scaled_base_ipc * (1.0 - penalty * pollution.value) * core.smt_factor()
             cycles = chunk / ipc
             core.state = _USER
-            delay.ns = cycles / freq
-            yield delay
+            yield cycles / freq
             perf.user_instructions += chunk
             perf.user_cycles += cycles
             kilo = chunk / 1000.0
@@ -163,9 +156,7 @@ class ThreadContext:
             self.active_span.event(self.sim.now, name, ns)
         core = self.core
         core.state = _KERNEL
-        delay = self._delay
-        delay.ns = ns
-        yield delay
+        yield ns
         cycles = ns * self._freq
         instructions = cycles * self._kernel_ipc
         perf = self.perf
@@ -178,7 +169,7 @@ class ThreadContext:
         """Context-switched out until ``signal`` fires; core goes IDLE."""
         self.core.state = _IDLE
         blocked_at = self.sim.now
-        value = yield WaitSignal(signal)
+        value = yield signal
         self.perf.blocked_cycles += (self.sim.now - blocked_at) * self._freq
         self.core.state = _STALLED
         return value
@@ -189,7 +180,7 @@ class ThreadContext:
         completion wait (paper §VI-A)."""
         self.core.state = _STALLED
         waited_from = self.sim.now
-        value = yield WaitSignal(signal)
+        value = yield signal
         self.perf.stall_cycles += (self.sim.now - waited_from) * self._freq
         self.core.state = _STALLED
         return value
@@ -199,9 +190,7 @@ class ThreadContext:
         if ns <= 0:
             return
         self.core.state = _STALLED
-        delay = self._delay
-        delay.ns = ns
-        yield delay
+        yield ns
         self.perf.stall_cycles += ns * self._freq
 
     # ------------------------------------------------------------------

@@ -65,18 +65,11 @@ def _cell(scale: ExperimentScale, params: Dict) -> Dict:
     process = system.create_process("app")
     threads = [system.workload_thread(process, index=i) for i in range(_THREADS)]
 
-    mmap_holder = {}
-
-    def do_mmap():
-        vma = yield from kernel.sys_mmap(
-            threads[0], file, dataset_pages, MmapFlags.FASTMAP
-        )
-        mmap_holder["vma"] = vma
-
-    proc = system.spawn(do_mmap(), "mmap")
-    while not proc.finished:
-        system.sim.step()
-    vma = mmap_holder["vma"]
+    proc = system.spawn(
+        kernel.sys_mmap(threads[0], file, dataset_pages, MmapFlags.FASTMAP), "mmap"
+    )
+    system.run([proc], stop_daemons=False)
+    vma = proc.result
 
     latency = StatAccumulator("op-latency")
     tallies = {"ops": 0, "sigbus": 0}

@@ -156,11 +156,6 @@ class Kernel:
         if command.context is not None:
             command.context.note_write_error()
 
-    @property
-    def lru(self) -> ReclaimPolicy:
-        """Historical name for the replacement policy (always ``reclaim``)."""
-        return self.reclaim
-
     # ==================================================================
     # page pinning
     # ==================================================================

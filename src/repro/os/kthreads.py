@@ -20,7 +20,6 @@ from __future__ import annotations
 from typing import Any, Generator
 
 from repro.cpu.thread import ThreadContext
-from repro.sim import Delay
 
 #: Charge kernel time in slices of this many pages to bound event counts.
 _CHARGE_BATCH = 64
@@ -39,7 +38,7 @@ class Kpted:
     def run(self) -> Generator[Any, Any, None]:
         """Main loop: sleep one period, then scan-and-sync."""
         while not self.kernel.shutdown:
-            yield Delay(self.config.kpted_period_ns)
+            yield self.config.kpted_period_ns
             if self.kernel.shutdown:
                 return
             yield from self.sync_pass()
@@ -93,15 +92,13 @@ class Kswapd:
         self.pages_reclaimed = 0
 
     def run(self) -> Generator[Any, Any, None]:
-        from repro.sim import WaitSignal
-
         kernel = self.kernel
         while not kernel.shutdown:
             # Purely pressure-driven: every allocation below the low
             # watermark fires the signal, so there is no missed-wake
             # window that a fallback timer would need to cover (and no
             # perpetual timer to keep an idle simulation alive).
-            yield WaitSignal(kernel.memory_pressure)
+            yield kernel.memory_pressure
             if kernel.shutdown:
                 return
             if not kernel.frame_pool.below_low_watermark:
@@ -138,7 +135,7 @@ class Kpoold:
 
     def run(self) -> Generator[Any, Any, None]:
         while not self.kernel.shutdown:
-            yield Delay(self.config.kpoold_period_ns)
+            yield self.config.kpoold_period_ns
             if self.kernel.shutdown:
                 return
             queues = self.kernel.iter_free_queues()

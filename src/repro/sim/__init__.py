@@ -1,24 +1,16 @@
 """Discrete-event simulation substrate.
 
-Exports the engine (:class:`Simulator`), coroutine-process layer
-(:func:`spawn`, :class:`Delay`, :class:`WaitSignal`, :class:`Signal`,
-:class:`Completion`), queueing resources, RNG streams, and statistics
-recorders.
+Exports the engine (:class:`Simulator`, whose one scheduling call is
+:meth:`Simulator.schedule`), the coroutine-process layer (:func:`spawn`,
+:class:`Signal`, :class:`Completion`; a process yields a delay in ns, a
+signal or completion to wait on, or a process to join), queueing
+resources, RNG streams, statistics recorders and state digests.
 """
 
 from repro.sim.checkpoint import capture_state, state_digest
-from repro.sim.engine import MS, NS, SEC, US, ScheduledEvent, Simulator
-from repro.sim.process import (
-    Completion,
-    Delay,
-    Process,
-    Signal,
-    WaitSignal,
-    first_of,
-    spawn,
-    timer,
-)
-from repro.sim.resources import FifoChannel, Mutex, Server
+from repro.sim.engine import MS, NS, SEC, US, Simulator
+from repro.sim.process import Completion, Process, Signal, first_of, spawn, timer
+from repro.sim.resources import FifoChannel, Server
 from repro.sim.rng import RngStreams
 from repro.sim.trace import Counter, StatAccumulator
 
@@ -28,16 +20,12 @@ __all__ = [
     "MS",
     "SEC",
     "Simulator",
-    "ScheduledEvent",
-    "Delay",
-    "WaitSignal",
     "Signal",
     "Completion",
     "Process",
     "spawn",
     "first_of",
     "timer",
-    "Mutex",
     "Server",
     "FifoChannel",
     "RngStreams",

@@ -2,10 +2,10 @@
 
 Pending events live in two structures:
 
-* a binary **heap** of ``(time, seq, callback, payload, chain)`` entries
+* a binary **heap** of ``(time, seq, callback, args, chain)`` entries
   for future instants, ordered by time and then by ``seq``, a counter
   that grows with every schedule call;
-* the **instant queue**, a FIFO of ``(callback, payload, chain)`` entries
+* the **instant queue**, a FIFO of ``(callback, args, chain)`` entries
   due at the current ``now``: zero delays, and positive delays that float
   rounding absorbs at a large ``now``.
 
@@ -16,23 +16,20 @@ made during ``now``.  The dispatch loops therefore pop the heap entries
 due at ``now``, then drain the instant queue, then advance the clock to
 the top of the heap.
 
-``payload`` is the callback's argument tuple.  Events scheduled through
-the public :meth:`Simulator.schedule` carry ``callback=None`` and their
-cancellable :class:`ScheduledEvent` handle as payload; the loops skip a
-cancelled handle without counting it.  Everything else — the process
-layer's wake-ups, the device-side callbacks — goes through
-:meth:`Simulator.schedule_transient`, which allocates nothing but the
-entry tuple.
+:meth:`Simulator.schedule` is the one way in: the process layer's
+wake-ups, the device-side callbacks and the drivers all go through it.
+It returns no handle, so a scheduled event always fires and an entry is
+nothing but its tuple.
 
 Observation is pre-bound: trace/sanitizer instrumentation attaches via
 :meth:`Simulator.attach` (see :mod:`repro.sim.observe`), which compiles
 the attached observers down to at most two bound callables.  With nothing
-attached the dispatch loop pays a single ``is None`` branch and the
-schedule paths one more.
+attached the dispatch loop pays a single ``is None`` branch and
+:meth:`Simulator.schedule` one more.
 
 The engine knows nothing about processes or resources; those live in
 :mod:`repro.sim.process` and :mod:`repro.sim.resources` and are built
-purely on the scheduling calls.
+purely on :meth:`Simulator.schedule`.
 """
 
 from __future__ import annotations
@@ -48,30 +45,6 @@ NS = 1.0
 US = 1_000.0
 MS = 1_000_000.0
 SEC = 1_000_000_000.0
-
-
-class ScheduledEvent:
-    """Handle for a callback scheduled with :meth:`Simulator.schedule`.
-
-    The engine never removes a cancelled entry eagerly; it is skipped when
-    it comes up for dispatch.  This keeps cancellation O(1).
-    """
-
-    __slots__ = ("time", "callback", "args", "cancelled")
-
-    def __init__(self, time: float, callback: Callable[..., Any], args: Tuple[Any, ...]):
-        self.time = time
-        self.callback = callback
-        self.args = args
-        self.cancelled = False
-
-    def cancel(self) -> None:
-        """Prevent the callback from firing.  Idempotent."""
-        self.cancelled = True
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        state = "cancelled" if self.cancelled else "pending"
-        return f"<ScheduledEvent t={self.time:.1f}ns {state} {self.callback!r}>"
 
 
 class Simulator:
@@ -93,10 +66,10 @@ class Simulator:
         #: property call costs real time at that frequency.  Only the
         #: engine writes it.
         self.now: float = 0.0
-        #: Future events, ``(time, seq, callback, payload, chain)``.
+        #: Future events, ``(time, seq, callback, args, chain)``.
         self._heap: List[Tuple[float, int, Any, Any, int]] = []
         self._seq = 0
-        #: Events due at ``now``, ``(callback, payload, chain)``, FIFO.
+        #: Events due at ``now``, ``(callback, args, chain)``, FIFO.
         self._instant: Deque[Tuple[Any, Any, int]] = deque()
         self._running = False
         self._stop = False
@@ -127,9 +100,11 @@ class Simulator:
         """Attach an observer and rebind the pre-compiled hook fast path.
 
         ``observer.on_attach(self)`` runs first (wiring side-channels like
-        :attr:`trace`/:attr:`sanitizer`), then the engine collects every
-        attached observer's ``on_dispatch``/``event_chain`` hooks into the
-        two pre-bound callables the hot loops consult.
+        :attr:`trace`/:attr:`sanitizer`), then the engine binds the
+        attached observers' ``on_dispatch``/``event_chain`` hooks as the
+        two callables the hot loops consult.  At most one attached
+        observer may define each hook; a second raises
+        :class:`SimulationError`.
         """
         self._observers.append(observer)
         on_attach = getattr(observer, "on_attach", None)
@@ -146,68 +121,35 @@ class Simulator:
         self._rebind_hooks()
 
     def _rebind_hooks(self) -> None:
-        dispatch = [
+        self._dispatch_hook = self._single_hook("on_dispatch")
+        self._chain_hook = self._single_hook("event_chain")
+
+    def _single_hook(self, name: str) -> Optional[Callable[..., Any]]:
+        """The one attached observer's ``name`` hook, or None."""
+        hooks = [
             hook
-            for hook in (getattr(o, "on_dispatch", None) for o in self._observers)
+            for hook in (getattr(o, name, None) for o in self._observers)
             if hook is not None
         ]
-        if not dispatch:
-            self._dispatch_hook = None
-        elif len(dispatch) == 1:
-            self._dispatch_hook = dispatch[0]
-        else:
-            hooks = tuple(dispatch)
-
-            def fan_out(time: float, chain: int) -> None:
-                for hook in hooks:
-                    hook(time, chain)
-
-            self._dispatch_hook = fan_out
-        chains = [
-            hook
-            for hook in (getattr(o, "event_chain", None) for o in self._observers)
-            if hook is not None
-        ]
-        if len(chains) > 1:
-            raise SimulationError("at most one observer may assign event chains")
-        self._chain_hook = chains[0] if chains else None
+        if len(hooks) > 1:
+            raise SimulationError(f"at most one attached observer may define {name}")
+        return hooks[0] if hooks else None
 
     # ------------------------------------------------------------------
     # scheduling
     # ------------------------------------------------------------------
     # repro: hot-path
-    def schedule(self, delay: float, callback: Callable[..., Any], *args: Any) -> ScheduledEvent:
+    def schedule(self, delay: float, callback: Callable[..., Any], *args: Any) -> None:
         """Schedule ``callback(*args)`` to run ``delay`` ns from now.
 
         ``delay`` must be non-negative; zero-delay events run after all
-        events already scheduled for the current instant.  Returns a
-        handle whose :meth:`ScheduledEvent.cancel` drops the event.
+        events already scheduled for the current instant.  Nothing is
+        returned: a scheduled event cannot be cancelled.
         """
         if delay < 0:
             # A negative delay would fire in the simulation's past and
             # silently corrupt the heap's monotonic order.
             raise SimulationError(f"cannot schedule into the past (delay={delay})")
-        now = self.now
-        time = now + delay
-        event = ScheduledEvent(time, callback, args)
-        hook = self._chain_hook
-        chain = 0 if hook is None else hook(time)
-        if time <= now:
-            self._instant.append((None, event, chain))
-        else:
-            self._seq = seq = self._seq + 1
-            heappush(self._heap, (time, seq, None, event, chain))
-        return event
-
-    # repro: hot-path
-    def schedule_transient(self, delay: float, callback: Callable[..., Any], *args: Any) -> None:
-        """Schedule ``callback(*args)`` without a cancellation handle.
-
-        The fast path behind the process layer's wake-ups and the
-        device-side callbacks (NVMe commands, completion-queue drains):
-        it allocates only the queue entry.  ``delay`` is trusted
-        non-negative.
-        """
         now = self.now
         time = now + delay
         hook = self._chain_hook
@@ -218,14 +160,6 @@ class Simulator:
             self._seq = seq = self._seq + 1
             heappush(self._heap, (time, seq, callback, args, chain))
 
-    def schedule_at(self, time: float, callback: Callable[..., Any], *args: Any) -> ScheduledEvent:
-        """Schedule ``callback(*args)`` at an absolute time."""
-        if time < self.now:
-            raise SimulationError(
-                f"cannot schedule at t={time} before current time t={self.now}"
-            )
-        return self.schedule(time - self.now, callback, *args)
-
     # ------------------------------------------------------------------
     # execution
     # ------------------------------------------------------------------
@@ -234,28 +168,22 @@ class Simulator:
         """Dispatch the next pending event.  Returns False if queue is empty."""
         heap = self._heap
         instant = self._instant
-        while True:
-            # A heap entry due now precedes the instant queue; otherwise
-            # the instant queue drains before the clock advances.
-            if heap and (not instant or heap[0][0] <= self.now):
-                time, _, callback, payload, chain = heappop(heap)
-            elif instant:
-                time = self.now
-                callback, payload, chain = instant.popleft()
-            else:
-                return False
-            if callback is None:
-                if payload.cancelled:
-                    continue
-                callback = payload.callback
-                payload = payload.args
-            self.now = time
-            self.events_dispatched += 1
-            hook = self._dispatch_hook
-            if hook is not None:
-                hook(time, chain)
-            callback(*payload)
-            return True
+        # A heap entry due now precedes the instant queue; otherwise the
+        # instant queue drains before the clock advances.
+        if heap and (not instant or heap[0][0] <= self.now):
+            time, _, callback, args, chain = heappop(heap)
+        elif instant:
+            time = self.now
+            callback, args, chain = instant.popleft()
+        else:
+            return False
+        self.now = time
+        self.events_dispatched += 1
+        hook = self._dispatch_hook
+        if hook is not None:
+            hook(time, chain)
+        callback(*args)
+        return True
 
     def stop(self) -> None:
         """Ask the innermost :meth:`run` to return after the current event.
@@ -299,23 +227,18 @@ class Simulator:
         popleft = instant.popleft
         while True:
             if heap and (not instant or heap[0][0] <= self.now):
-                time, _, callback, payload, chain = heappop(heap)
+                time, _, callback, args, chain = heappop(heap)
             elif instant:
                 time = self.now
-                callback, payload, chain = popleft()
+                callback, args, chain = popleft()
             else:
                 return
-            if callback is None:
-                if payload.cancelled:
-                    continue
-                callback = payload.callback
-                payload = payload.args
             self.now = time
             self.events_dispatched += 1
             hook = self._dispatch_hook
             if hook is not None:
                 hook(time, chain)
-            callback(*payload)
+            callback(*args)
             if self._stop:
                 return
 
@@ -337,24 +260,15 @@ class Simulator:
                 self.now = until
 
     def peek(self) -> Optional[float]:
-        """Time of the next pending (non-cancelled) event, or None.
-
-        Discards cancelled entries at the front of both queues on the way
-        to the answer; which live entry dispatches next is unaffected.
-        """
-        heap = self._heap
-        instant = self._instant
-        while heap and heap[0][2] is None and heap[0][3].cancelled:
-            heappop(heap)
-        while instant and instant[0][0] is None and instant[0][1].cancelled:
-            instant.popleft()
-        if instant:
+        """Time of the next pending event, or None."""
+        if self._instant:
             return self.now
+        heap = self._heap
         return heap[0][0] if heap else None
 
     @property
     def pending_events(self) -> int:
-        """Number of queued events, including cancelled tombstones."""
+        """Number of queued events."""
         return len(self._heap) + len(self._instant)
 
     # ------------------------------------------------------------------
@@ -364,27 +278,22 @@ class Simulator:
         """Structural snapshot of the engine at the current event boundary.
 
         Returns the clock, the dispatch counter, the pending events as
-        ``(time, callback, payload, chain)`` in dispatch order (heap
-        entries due now, the instant queue, then the later heap entries
-        by ``(time, seq)``; cancelled handles skipped), and the attached
-        observers by class name.  Listing entries in dispatch order makes
-        a digest commit to that order rather than to the heap's memory
-        layout.  The entries hold *references*, not copies — the snapshot
+        ``(time, callback, args, chain)`` in dispatch order (heap entries
+        due now, the instant queue, then the later heap entries by
+        ``(time, seq)``), and the attached observers by class name.
+        Listing entries in dispatch order makes a digest commit to that
+        order rather than to the heap's memory layout.  The entries hold *references*, not copies — the snapshot
         is consumed by the deep capture in :mod:`repro.sim.checkpoint`
         (for state digests).
         """
         now = self.now
         heap = sorted(self._heap)
-        due = [(time, cb, payload, chain) for time, _, cb, payload, chain in heap if time <= now]
-        later = [(time, cb, payload, chain) for time, _, cb, payload, chain in heap if time > now]
-        instant = [(now, cb, payload, chain) for cb, payload, chain in self._instant]
+        due = [(time, cb, args, chain) for time, _, cb, args, chain in heap if time <= now]
+        later = [(time, cb, args, chain) for time, _, cb, args, chain in heap if time > now]
+        instant = [(now, cb, args, chain) for cb, args, chain in self._instant]
         return {
             "now": now,
             "events_dispatched": self.events_dispatched,
-            "pending": [
-                entry
-                for entry in due + instant + later
-                if entry[1] is not None or not entry[2].cancelled
-            ],
+            "pending": due + instant + later,
             "observers": sorted(type(observer).__name__ for observer in self._observers),
         }

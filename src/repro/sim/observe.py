@@ -16,11 +16,12 @@ An observer provides any subset of:
     through them.
 ``on_dispatch(time, chain)``
     Called before every event callback runs.  Only observers that truly
-    need per-dispatch granularity (the sanitizer) should define it; the
-    engine composes multiple hooks into one fan-out closure.
+    need per-dispatch granularity (the sanitizer) should define it.
 ``event_chain(time) -> int``
     Called at schedule time to tag the new event with a causal chain.
-    At most one attached observer may define it.
+
+At most one attached observer may define each of the two hooks; attaching
+a second raises :class:`repro.errors.SimulationError`.
 
 Plain duck typing is accepted, but subclassing :class:`SimObserver` gets
 the ``None`` defaults right.
@@ -35,7 +36,8 @@ class SimObserver:
     """Base class for simulator observers; all hooks optional."""
 
     #: ``callable(time, chain)`` invoked before each event dispatch, or
-    #: ``None`` (the default) to stay off the hot path entirely.
+    #: ``None`` (the default) to stay off the hot path entirely.  At most
+    #: one per simulator.
     on_dispatch: Optional[Callable[[float, int], None]] = None
     #: ``callable(time) -> int`` assigning causal-chain tags to newly
     #: scheduled events, or ``None``.  At most one per simulator.
@@ -47,23 +49,3 @@ class SimObserver:
     def on_detach(self, sim: Any) -> None:
         """Called once when the observer is detached from ``sim``."""
 
-
-class CompositeObserver(SimObserver):
-    """Attach a bundle of observers as one unit.
-
-    ``sim.attach(CompositeObserver(a, b))`` is equivalent to attaching
-    ``a`` and ``b`` individually: the composite registers each child with
-    the simulator and contributes no hooks of its own, so hook binding
-    (and the hot loop's single branch) sees only the children.
-    """
-
-    def __init__(self, *observers: Any) -> None:
-        self.observers = tuple(observers)
-
-    def on_attach(self, sim: Any) -> None:
-        for observer in self.observers:
-            sim.attach(observer)
-
-    def on_detach(self, sim: Any) -> None:
-        for observer in self.observers:
-            sim.detach(observer)

@@ -5,29 +5,31 @@ thread in the paper's sense (a CPU thread with the SMU miss pipeline and
 the fault handler it runs, a kernel daemon).  Hardware that only reacts —
 the NVMe device and the completion-queue consumers — is plain scheduled
 callbacks instead (see :mod:`repro.storage.nvme`).  The generator yields
-*commands* telling the scheduler what to wait for:
+bare values telling the scheduler what to wait for:
 
-``Delay(ns)``
-    resume after ``ns`` nanoseconds of simulated time.
-``WaitSignal(signal)``
-    resume when the signal fires; the fired value is sent back into the
+a real number (``int``, ``float`` or a numpy scalar; not ``bool``)
+    a delay: resume after that many nanoseconds of simulated time.  A
+    negative delay raises :class:`SimulationError`.
+a :class:`Signal` or :class:`Completion`
+    resume when it fires; the fired value is sent back into the
     generator.
-``Process``
+a :class:`Process`
     join: resume when the yielded process terminates; its return value is
     sent back.
 
+Anything else is an "unsupported command" :class:`SimulationError`.
 Sub-activities are composed with plain ``yield from``, so most model code
 reads like straight-line procedures::
 
     def fault_handler(self):
-        yield Delay(self.cost.exception_ns)
-        value = yield WaitSignal(io_done)
+        yield self.cost.exception_ns
+        value = yield io_done
         ...
 
-Every wake-up is one :meth:`Simulator.schedule_transient` event, so a
-process holds no handle to its pending wake-up and cannot be interrupted:
-a wait ends only when its delay elapses, its signal fires or the joined
-process finishes.
+Every wake-up is one :meth:`Simulator.schedule` event, so a process holds
+no handle to its pending wake-up and cannot be interrupted: a wait ends
+only when its delay elapses, its signal fires or the joined process
+finishes.
 
 Processes propagate exceptions: an uncaught exception inside a process is
 re-raised out of :meth:`Simulator.run` at the point the event fires, which
@@ -36,6 +38,7 @@ turns model bugs into loud test failures instead of silent stalls.
 
 from __future__ import annotations
 
+from numbers import Real
 from typing import Any, Generator, List, Optional
 
 from repro.errors import SimulationError
@@ -43,20 +46,6 @@ from repro.sim.engine import Simulator
 
 #: Type alias for the generators that implement process bodies.
 ProcessBody = Generator[Any, Any, Any]
-
-
-class Delay:
-    """Command: suspend the process for ``ns`` nanoseconds."""
-
-    __slots__ = ("ns",)
-
-    def __init__(self, ns: float):
-        if ns < 0:
-            raise SimulationError(f"negative delay {ns}")
-        self.ns = ns
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return f"Delay({self.ns}ns)"
 
 
 class Signal:
@@ -84,7 +73,7 @@ class Signal:
         waiters = self._waiters
         if waiters:
             self._waiters = []  # repro: allow[REP121] reason=fresh list per broadcast is the edge-trigger semantics; the drained list is handed to the resume loop
-            schedule = self.sim.schedule_transient
+            schedule = self.sim.schedule
             for process in waiters:
                 # Resume via a zero-delay event to preserve run-to-completion
                 # semantics of the currently executing process.
@@ -131,27 +120,15 @@ class Completion(Signal):
         waiters = self._waiters
         if waiters:
             self._waiters = []  # repro: allow[REP121] reason=fresh list per broadcast is the latch semantics; the drained list is handed to the resume loop
-            schedule = self.sim.schedule_transient
+            schedule = self.sim.schedule
             for process in waiters:
                 schedule(0.0, process._resume_cb, value)
 
     def _add_waiter(self, process: "Process") -> None:
         if self.done:
-            self.sim.schedule_transient(0.0, process._resume_cb, self.value)
+            self.sim.schedule(0.0, process._resume_cb, self.value)
         else:
             super()._add_waiter(process)
-
-
-class WaitSignal:
-    """Command: suspend until ``signal`` fires; receives the fired value."""
-
-    __slots__ = ("signal",)
-
-    def __init__(self, signal: Signal):
-        self.signal = signal
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return f"WaitSignal({self.signal.name})"
 
 
 class Process:
@@ -199,7 +176,8 @@ class Process:
         arrange the wake-up that command asks for.
 
         Runs for nearly every event in a simulation, so the two common
-        commands are tested by exact class; joins and errors take
+        commands — a float delay, a completion or signal wait — are tested
+        by exact class; other numbers, joins and errors take
         :meth:`_dispatch_slow`.
         """
         try:
@@ -208,17 +186,21 @@ class Process:
             self._finish(stop.value)
             return
         cls = command.__class__
-        if cls is Delay:
-            self.sim.schedule_transient(command.ns, self._resume_cb, None)
-        elif cls is WaitSignal:
-            command.signal._add_waiter(self)
+        if cls is float:
+            self.sim.schedule(command, self._resume_cb, None)
+        elif cls is Completion or cls is Signal:
+            command._add_waiter(self)
         else:
             self._dispatch_slow(command)
 
     def _dispatch_slow(self, command: Any) -> None:
-        if isinstance(command, Process):
+        if isinstance(command, Real) and not isinstance(command, bool):
+            self.sim.schedule(command, self._resume_cb, None)
+        elif isinstance(command, Signal):
+            command._add_waiter(self)
+        elif isinstance(command, Process):
             if command.finished:
-                self.sim.schedule_transient(0.0, self._resume_cb, command.result)
+                self.sim.schedule(0.0, self._resume_cb, command.result)
             else:
                 command._joiners.append(self)
         else:
@@ -232,7 +214,7 @@ class Process:
         joiners = self._joiners
         if joiners:
             self._joiners = []
-            schedule = self.sim.schedule_transient
+            schedule = self.sim.schedule
             for joiner in joiners:
                 schedule(0.0, joiner._resume_cb, result)
         if self.on_finish is not None:
@@ -253,7 +235,7 @@ def first_of(sim: Simulator, *signals: Signal) -> Completion:
     result = Completion(sim, "first-of")
 
     def waiter(signal: Signal, index: int) -> ProcessBody:
-        value = yield WaitSignal(signal)
+        value = yield signal
         if not result.done:
             result.fire((index, value))
 
@@ -276,5 +258,5 @@ def spawn(sim: Simulator, body: ProcessBody, name: str = "process") -> Process:
     spawner continues to run to completion first.
     """
     process = Process(sim, body, name)
-    sim.schedule_transient(0.0, process._start)
+    sim.schedule(0.0, process._start)
     return process

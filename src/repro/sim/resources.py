@@ -1,21 +1,18 @@
-"""Queueing resources built on processes, signals and callbacks.
+"""Queueing resources built on signals and callbacks.
 
 These primitives carry the contention behaviour of the model:
 
-* :class:`Mutex` — in-order exclusive lock (page-table lock, PMSHR port in
-  the software-emulated SMU).
 * :class:`Server` — a k-server queueing station (the NVMe device's
   internal service slots).
-* :class:`FifoChannel` — a producer/consumer queue (NVMe completion
-  queues).
+* :class:`FifoChannel` — an unbounded producer/consumer queue (NVMe
+  completion queues).
 
-Thread-side callers are processes: they ``yield from mutex.acquire()`` or
-``yield from channel.get()`` inside a process body.  Device-side callers
-are plain callbacks: :meth:`Server.acquire` runs a job callback once it
-holds a slot, and :meth:`FifoChannel.consume` runs a callback per entry.
-Every callback runs from exactly the event that would have resumed the
-equivalent process, so both styles dispatch the same events in the same
-order.
+The model's users are device-side plain callbacks: :meth:`Server.acquire`
+runs a job callback once it holds a slot, and :meth:`FifoChannel.consume`
+runs a callback per entry.  Every callback runs from exactly the event
+that would have resumed the equivalent process (a job waiting on a
+ticket, a consumer looping on :meth:`FifoChannel.get`), so both styles
+dispatch the same events in the same order.
 """
 
 from __future__ import annotations
@@ -25,51 +22,7 @@ from typing import Any, Callable, Deque, Generator, Optional, Tuple
 
 from repro.errors import SimulationError
 from repro.sim.engine import Simulator
-from repro.sim.process import Completion, WaitSignal
-
-
-class Mutex:
-    """An exclusive lock granting ownership in FIFO order.
-
-    Usage inside a process body::
-
-        yield from mutex.acquire()
-        try:
-            ...
-        finally:
-            mutex.release()
-    """
-
-    def __init__(self, sim: Simulator, name: str = "mutex"):
-        self.sim = sim
-        self.name = name
-        self._ticket_name = f"{name}-ticket"
-        self._locked = False
-        self._waiters: Deque[Completion] = deque()
-        #: Total number of acquisitions that had to wait (contention metric).
-        self.contended_acquires = 0
-
-    @property
-    def locked(self) -> bool:
-        return self._locked
-
-    def acquire(self) -> Generator[Any, Any, None]:
-        if not self._locked:
-            self._locked = True
-            return
-        self.contended_acquires += 1
-        ticket = Completion(self.sim, self._ticket_name)
-        self._waiters.append(ticket)
-        yield WaitSignal(ticket)
-
-    def release(self) -> None:
-        if not self._locked:
-            raise SimulationError(f"mutex {self.name} released while unlocked")
-        if self._waiters:
-            # Hand the lock directly to the next waiter: stays locked.
-            self._waiters.popleft().fire()
-        else:
-            self._locked = False
+from repro.sim.process import Completion
 
 
 class Server:
@@ -127,7 +80,7 @@ class Server:
         self.jobs_served += 1
         waiters = self._waiters
         if waiters:
-            self.sim.schedule_transient(0.0, self._handoff_cb, waiters.popleft())
+            self.sim.schedule(0.0, self._handoff_cb, waiters.popleft())
 
     # repro: hot-path
     def _handoff(self, job: Tuple[float, Callable[..., Any], Tuple[Any, ...]]) -> None:
@@ -144,25 +97,19 @@ class Server:
 
 
 class FifoChannel:
-    """A FIFO between producers and a consumer.
+    """An unbounded FIFO between producers and a consumer.
 
-    ``capacity=None`` gives an unbounded channel (puts never block).
-    Consumers are processes calling the blocking :meth:`get`, or one
-    callback registered with :meth:`consume`; a channel uses one style,
-    not both.
+    Producers call :meth:`put_nowait`, which never blocks.  Consumers are
+    processes calling the blocking :meth:`get`, or one callback registered
+    with :meth:`consume`; a channel uses one style, not both.
     """
 
-    def __init__(self, sim: Simulator, capacity: Optional[int] = None, name: str = "chan"):
-        if capacity is not None and capacity < 1:
-            raise SimulationError(f"channel capacity must be >= 1, got {capacity}")
+    def __init__(self, sim: Simulator, name: str = "chan"):
         self.sim = sim
-        self.capacity = capacity
         self.name = name
-        self._put_name = f"{name}-put"
         self._get_name = f"{name}-get"
         self._items: Deque[Any] = deque()
         self._getters: Deque[Completion] = deque()
-        self._putters: Deque[Completion] = deque()
         #: The :meth:`consume` callback and its leading arguments.
         self._consumer: Optional[Callable[..., Any]] = None
         self._consumer_args: Tuple[Any, ...] = ()
@@ -188,28 +135,11 @@ class FifoChannel:
         """Non-blocking get; raises IndexError when empty."""
         if self._sanitizer is not None:
             self._sanitizer.note_write(self)
-        item = self._items.popleft()
-        if self._putters:
-            self._putters.popleft().fire()
-        return item
-
-    def put(self, item: Any) -> Generator[Any, Any, None]:
-        """Blocking put (only blocks when the channel is bounded and full)."""
-        if self.capacity is not None and len(self._items) >= self.capacity:
-            ticket = Completion(self.sim, self._put_name)
-            self._putters.append(ticket)
-            yield WaitSignal(ticket)
-        self._push(item)
+        return self._items.popleft()
 
     # repro: hot-path
     def put_nowait(self, item: Any) -> None:
-        """Non-blocking put; raises on a full bounded channel."""
-        if self.capacity is not None and len(self._items) >= self.capacity:
-            raise SimulationError(f"channel {self.name} full")
-        self._push(item)
-
-    # repro: hot-path
-    def _push(self, item: Any) -> None:
+        """Append ``item`` and wake the consumer."""
         if self._sanitizer is not None:
             self._sanitizer.note_write(self)
         self._items.append(item)
@@ -217,14 +147,14 @@ class FifoChannel:
             self._getters.popleft().fire()
         elif self._consumer is not None and not self._drain_pending:
             self._drain_pending = True
-            self.sim.schedule_transient(0.0, self._drain_cb)
+            self.sim.schedule(0.0, self._drain_cb)
 
     def get(self) -> Generator[Any, Any, Any]:
         """Blocking get."""
         while not self._items:
             ticket = Completion(self.sim, self._get_name)
             self._getters.append(ticket)
-            yield WaitSignal(ticket)
+            yield ticket
         return self.try_get()
 
     def consume(self, callback: Callable[..., Any], *args: Any) -> None:
@@ -241,12 +171,11 @@ class FifoChannel:
         self._consumer = callback
         self._consumer_args = args
         self._drain_pending = True
-        self.sim.schedule_transient(0.0, self._drain_cb)
+        self.sim.schedule(0.0, self._drain_cb)
 
     # repro: hot-path
     def _drain(self) -> None:
         items = self._items
-        putters = self._putters
         callback = self._consumer
         args = self._consumer_args
         sanitizer = self._sanitizer
@@ -255,8 +184,5 @@ class FifoChannel:
                 # Charge the read to the consumer, as a consumer process
                 # calling get() would be, not to this dispatch loop.
                 sanitizer.note_write(self, sanitizer.callback_site(callback))
-            item = items.popleft()
-            if putters:
-                putters.popleft().fire()
-            callback(*args, item)
+            callback(*args, items.popleft())
         self._drain_pending = False

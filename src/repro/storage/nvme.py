@@ -245,7 +245,7 @@ class NVMeDevice:
                 nsid=command.nsid,
                 lba=command.lba,
             )
-        self.sim.schedule_transient(0.0, self._execute, qp, command)
+        self.sim.schedule(0.0, self._execute, qp, command)
 
     # repro: hot-path
     def _execute(self, qp: QueuePair, command: NVMeCommand) -> None:
@@ -255,7 +255,7 @@ class NVMeDevice:
     # repro: hot-path
     def _start_service(self, qp: QueuePair, command: NVMeCommand) -> None:
         service_ns = self._service_time(command)
-        self.sim.schedule_transient(
+        self.sim.schedule(
             service_ns, self._end_service_cb, qp, command, service_ns
         )
 
@@ -264,7 +264,7 @@ class NVMeDevice:
         if command.opcode is NVMeOpcode.WRITE:
             self._writes_in_service += 1
             duration = self.latency_model.write_service_ns()
-            self.sim.schedule_transient(duration, self._write_done_cb)
+            self.sim.schedule(duration, self._write_done_cb)
         else:
             occupancy = self._writes_in_service / self._parallel_ops
             duration = self.latency_model.read_service_ns(occupancy)
@@ -283,7 +283,7 @@ class NVMeDevice:
                 if decision.extra_delay_ns > 0.0:
                     # A timed-out command holds its SQ slot until the
                     # host's abort reaps it.
-                    self.sim.schedule_transient(
+                    self.sim.schedule(
                         decision.extra_delay_ns,
                         self._complete_late_cb,
                         qp,

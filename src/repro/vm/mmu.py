@@ -23,7 +23,7 @@ from typing import Any, Callable, Generator, Optional
 
 from repro.errors import ProtectionFault, SimulationError
 from repro.mem.address import PAGE_SHIFT
-from repro.sim import Delay, Simulator
+from repro.sim import Simulator
 from repro.vm.page_table import WalkResult
 from repro.vm.pte import (
     PFN_MASK,
@@ -76,9 +76,6 @@ class Mmu:
         self.sim = sim
         self.core_id = core_id
         self.tlb = Tlb(tlb_entries)
-        #: Reusable walk-latency Delay (its ``ns`` never changes and the
-        #: process layer consumes yielded Delays synchronously).
-        self._walk_delay = Delay(self.WALK_LATENCY_NS)
         #: Installed by the system builder.
         self.fault_handler: Optional[FaultHandler] = None
         #: The home SMU (HWDP mode only).
@@ -100,7 +97,7 @@ class Mmu:
                 raise ProtectionFault(f"write to read-only page {vpn:#x}")
             return Translation(pfn, TranslationKind.TLB_HIT)
 
-        yield self._walk_delay
+        yield self.WALK_LATENCY_NS
         page_table = thread.process.page_table
         walk = page_table.walk(vaddr)
         pte = walk.pte

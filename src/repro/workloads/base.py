@@ -76,16 +76,9 @@ class WorkloadDriver(abc.ABC):
 
     def run_setup_coroutine(self, system: System, body: Generator) -> Any:
         """Run a setup coroutine (mmap etc.) to completion immediately."""
-        holder = {}
-
-        def wrapper():
-            holder["result"] = yield from body
-
-        proc = system.spawn(wrapper(), f"{self.name}-setup")
-        while not proc.finished:
-            if not system.sim.step():
-                raise WorkloadError(f"{self.name}: setup stalled")
-        return holder.get("result")
+        proc = system.spawn(body, f"{self.name}-setup")
+        system.run([proc], stop_daemons=False)
+        return proc.result
 
     # ------------------------------------------------------------------
     @property

@@ -17,6 +17,11 @@ def converts_wrong_way(config, elapsed_ns: float) -> float:
     return config.cpu.cycles_to_ns(elapsed_ns)  # EXPECT REP103
 
 
+def yields_cycles(delay_cycles: float):
+    # A process's yielded number is a nanosecond delay.
+    yield delay_cycles  # EXPECT REP103
+
+
 def clean_schedule(sim, delay_ns: float) -> None:
     sim.schedule(delay_ns, callback)
 
@@ -28,3 +33,8 @@ def clean_translated(sim, config, delay_cycles: float) -> None:
 
 def clean_converter_input(config, lookup_cycles: float) -> float:
     return config.cpu.cycles_to_ns(lookup_cycles)
+
+
+def clean_yields(config, delay_ns: float, delay_cycles: float):
+    yield delay_ns
+    yield config.cpu.cycles_to_ns(delay_cycles)

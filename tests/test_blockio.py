@@ -5,7 +5,7 @@ import pytest
 
 from repro.config import DeviceConfig
 from repro.os.blockio import BlockIoStack
-from repro.sim import Simulator, WaitSignal, spawn
+from repro.sim import Simulator, spawn
 from repro.storage.nvme import NVMeDevice
 
 
@@ -33,7 +33,7 @@ class TestBlockIo:
         got = {}
 
         def waiter():
-            command = yield WaitSignal(done)
+            command = yield done
             got["command"] = command
             got["time"] = sim.now
 
@@ -48,10 +48,8 @@ class TestBlockIo:
         done = stack.submit_read(nsid=1, lba=0)
 
         def late():
-            from repro.sim import Delay
-
-            yield Delay(20_000.0)
-            yield WaitSignal(done)
+            yield 20_000.0
+            yield done
             assert sim.now == 20_000.0
 
         spawn(sim, late())
@@ -63,7 +61,7 @@ class TestBlockIo:
         order = []
 
         def waiter(index):
-            yield WaitSignal(completions[index])
+            yield completions[index]
             order.append(index)
 
         for index in range(4):

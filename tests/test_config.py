@@ -165,6 +165,20 @@ class TestSystemConfig:
         assert 0 < memory.low_watermark < memory.high_watermark < 10_000
 
 
+class TestControlPlaneConfig:
+    """Daemon periods re-arm forever, so a non-positive one never ends."""
+
+    @pytest.mark.parametrize("period_ns", [0.0, -1.0])
+    def test_kpted_period_must_be_positive(self, period_ns):
+        with pytest.raises(ConfigError):
+            ControlPlaneConfig(kpted_period_ns=period_ns)
+
+    @pytest.mark.parametrize("period_ns", [0.0, -1.0])
+    def test_kpoold_period_must_be_positive(self, period_ns):
+        with pytest.raises(ConfigError):
+            ControlPlaneConfig(kpoold_period_ns=period_ns)
+
+
 class TestTable2:
     def test_contents(self):
         table = table2_configuration()

@@ -70,9 +70,7 @@ class TestPmshr:
         woken = []
 
         def waiter():
-            from repro.sim import WaitSignal
-
-            yield WaitSignal(pmshr.slot_freed)
+            yield pmshr.slot_freed
             woken.append(sim.now)
 
         spawn(sim, waiter())

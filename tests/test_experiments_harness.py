@@ -106,7 +106,7 @@ class TestPrewarmHelpers:
             system, driver.threads[0], driver.vma, range(QUICK.memory_frames * 4)
         )
         assert installed == budget
-        assert len(system.kernel.lru) == installed
+        assert len(system.kernel.reclaim) == installed
 
     def test_prewarm_skips_resident(self):
         from repro.workloads.fio import FioRandomRead

@@ -47,7 +47,7 @@ class TestOsdpPath:
         system, thread, vma = build_mapped_system(PagingMode.OSDP)
         touch_pages(system, thread, vma, [5])
         kernel = system.kernel
-        assert len(kernel.lru) == 1
+        assert len(kernel.reclaim) == 1
         assert kernel.page_cache.lookup(vma.file, 5) is not None
         pte = thread.process.page_table.get_pte(vma.start + (5 << PAGE_SHIFT))
         assert pte_status(pte) is PteStatus.RESIDENT
@@ -99,7 +99,7 @@ class TestHwdpPath:
         for index in range(3):
             vaddr = vma.start + (index << PAGE_SHIFT)
             assert pte_status(table.get_pte(vaddr)) is PteStatus.RESIDENT
-        assert len(system.kernel.lru) == 3
+        assert len(system.kernel.reclaim) == 3
         assert system.kpted.pages_synced >= 3
 
     def test_stall_not_block_during_miss(self):
@@ -239,7 +239,7 @@ class TestSyscalls:
             system.sim.step()
         kernel = system.kernel
         assert kernel.frame_pool.used_frames == used_before - 16
-        assert len(kernel.lru) == 0
+        assert len(kernel.reclaim) == 0
         assert thread.process.find_vma(vma.start) is None
 
     def test_msync_synchronises_pending_metadata(self):

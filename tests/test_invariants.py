@@ -144,7 +144,7 @@ class TestMetadataConsistency:
         for index in range(16):
             pfn = kernel.page_cache.lookup(vma.file, index)
             if pfn is not None:
-                assert kernel.lru.contains(pfn)
+                assert kernel.reclaim.contains(pfn)
 
     def test_no_pte_points_at_free_frame(self):
         system, thread, vma = build_mapped_system(

@@ -127,9 +127,7 @@ class TestHomeSmuRouting:
             yield from thread.mem_access(vma.start)
 
         def unmapper():
-            from repro.sim import Delay
-
-            yield Delay(1_000.0)  # let the miss start first
+            yield 1_000.0  # let the miss start first
             yield from system.kernel.sys_munmap(thread, vma)
             unmapped["at"] = system.sim.now
 

@@ -175,7 +175,7 @@ class TestHwdpFallbackDetails:
         status = pte_status(thread.process.page_table.get_pte(vaddr))
         assert status is PteStatus.RESIDENT  # not pending-sync
         pfn = results[fallback_index].pfn
-        assert system.kernel.lru.contains(pfn)
+        assert system.kernel.reclaim.contains(pfn)
 
     def test_fallback_overlaps_refill_with_device_io(self):
         """§IV-D: the refill happens during the device wait, so the

@@ -51,7 +51,7 @@ class TestFrameAllocation:
     def test_evict_requires_consistent_pte(self):
         system, thread, vma = build_mapped_system(PagingMode.OSDP)
         touch_pages(system, thread, vma, [0])
-        page = next(iter(system.kernel.lru.select_victims(1)))
+        page = next(iter(system.kernel.reclaim.select_victims(1)))
         thread.process.page_table.set_pte(page.vaddr, 0)  # corrupt
         with pytest.raises(KernelError):
             system.kernel.evict_page(page)

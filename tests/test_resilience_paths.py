@@ -12,7 +12,6 @@ from repro.config import PagingMode, ResilienceConfig
 from repro.errors import IoError
 from repro.faults import FaultKind, FaultPlan, FaultRule, assert_invariants
 from repro.mem.address import PAGE_SHIFT
-from repro.sim import Delay
 from repro.vm.mmu import TranslationKind
 
 from tests.helpers import build_mapped_system, touch_pages
@@ -185,7 +184,7 @@ class TestWritebackErrors:
 
         def body():
             yield from kernel.file_write(thread, file, 0)
-            yield Delay(200_000.0)  # let the write complete (with its error)
+            yield 200_000.0  # let the write complete (with its error)
             try:
                 yield from kernel.sys_msync(thread, vma)
             except IoError as exc:
@@ -275,7 +274,7 @@ class TestBarrierWithFailedMiss:
             order.append(("touch-done", translation.kind))
 
         def barrier_waiter():
-            yield Delay(10_000.0)  # arrive while the failing miss is in flight
+            yield 10_000.0  # arrive while the failing miss is in flight
             assert smu.outstanding_for(process) > 0
             yield from smu.barrier(process)
             order.append(("barrier-done", smu.outstanding_for(process)))

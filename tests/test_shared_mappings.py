@@ -70,7 +70,7 @@ class TestSharedMappings:
             thread.process.page_table.get_pte(vma1.start + (3 << PAGE_SHIFT))
         ).pfn
         page = system.kernel._page_info[pfn]
-        system.kernel.lru.remove(pfn)
+        system.kernel.reclaim.remove(pfn)
         system.kernel.evict_page(page)
         table = thread.process.page_table
         for vma in (vma1, vma2):
@@ -88,7 +88,7 @@ class TestSharedMappings:
             thread.process.page_table.get_pte(vma1.start + (3 << PAGE_SHIFT))
         )
         assert pte1.present
-        assert system.kernel.lru.contains(pte1.pfn)
+        assert system.kernel.reclaim.contains(pte1.pfn)
 
     def test_unmapping_primary_promotes_extra(self):
         system, thread, vma1, vma2 = dual_map()

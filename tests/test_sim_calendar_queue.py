@@ -1,7 +1,7 @@
 """Dispatch-order tests for the engine's heap and instant queue.
 
 ``test_sim_engine.py`` covers the near-term behaviour (FIFO tie-break,
-cancellation, zero delays).  This file checks the engine's order against
+zero delays, negative delays).  This file checks the engine's order against
 two references:
 
 * ``ReferenceSimulator``, one global ``(time, seq)`` heap — the
@@ -27,7 +27,7 @@ from repro.core import system as system_mod
 from repro.errors import SimulationError
 from repro.faults import FaultKind, FaultPlan, FaultRule
 from repro.mem.address import PAGE_SHIFT
-from repro.sim.engine import MS, ScheduledEvent, Simulator
+from repro.sim.engine import MS, Simulator
 from tests.helpers import build_mapped_system
 
 #: The calendar's bucketing horizon: events further ahead overflowed.
@@ -57,18 +57,6 @@ def test_overflow_same_timestamp_fifo():
     assert fired == list(range(8))
 
 
-def test_overflow_event_cancellation():
-    sim = Simulator()
-    fired = []
-    keep = sim.schedule(2.0 * HORIZON, fired.append, "keep")
-    drop = sim.schedule(2.0 * HORIZON, fired.append, "drop")
-    del keep
-    drop.cancel()
-    sim.run()
-    assert fired == ["keep"]
-    assert sim.now == 2.0 * HORIZON
-
-
 def test_migrated_events_interleave_with_new_near_events():
     sim = Simulator()
     fired = []
@@ -78,7 +66,7 @@ def test_migrated_events_interleave_with_new_near_events():
         # Scheduled long after "migrated" for the same instant, so it
         # must fire after it.
         fired.append("riser")
-        sim.schedule_at(target, fired.append, "new")
+        sim.schedule(target - sim.now, fired.append, "new")
 
     sim.schedule(target, fired.append, "migrated")
     sim.schedule(target - 1.0, late_riser)
@@ -103,16 +91,6 @@ def test_peek_migrates_overflow():
 # ----------------------------------------------------------------------
 # reference engines
 # ----------------------------------------------------------------------
-class _RefEvent:
-    __slots__ = ("cancelled",)
-
-    def __init__(self):
-        self.cancelled = False
-
-    def cancel(self):
-        self.cancelled = True
-
-
 class ReferenceSimulator:
     """The obviously-correct model: one global ``(time, seq)`` heap.
 
@@ -129,26 +107,19 @@ class ReferenceSimulator:
         self._stop = False
 
     def schedule(self, delay, callback, *args):
-        event = _RefEvent()
         self._seq += 1
-        heapq.heappush(self._heap, (self.now + delay, self._seq, event, callback, args))
-        return event
-
-    def schedule_transient(self, delay, callback, *args):
-        self.schedule(delay, callback, *args)
+        heapq.heappush(self._heap, (self.now + delay, self._seq, callback, args))
 
     def stop(self):
         self._stop = True
 
     def peek(self):
-        while self._heap and self._heap[0][2].cancelled:
-            heapq.heappop(self._heap)
         return self._heap[0][0] if self._heap else None
 
     def step(self):
-        if self.peek() is None:
+        if not self._heap:
             return False
-        time, _, _, callback, args = heapq.heappop(self._heap)
+        time, _, callback, args = heapq.heappop(self._heap)
         self.now = time
         self.events_dispatched += 1
         callback(*args)
@@ -171,11 +142,13 @@ class ReferenceSimulator:
                 self.now = until
 
 
-class _CalendarEvent(ScheduledEvent):
-    __slots__ = ("chain",)
+class _CalendarEvent:
+    __slots__ = ("time", "callback", "args", "chain")
 
     def __init__(self, time, callback, args):
-        super().__init__(time, callback, args)
+        self.time = time
+        self.callback = callback
+        self.args = args
         self.chain = 0
 
 
@@ -220,11 +193,6 @@ class CalendarSimulator(Simulator):
     def schedule(self, delay, callback, *args):
         if delay < 0:
             raise SimulationError(f"cannot schedule into the past (delay={delay})")
-        event = _CalendarEvent(self.now + delay, callback, args)
-        self._enqueue(event)
-        return event
-
-    def schedule_transient(self, delay, callback, *args):
         self._enqueue(_CalendarEvent(self.now + delay, callback, args))
 
     def _migrate_overflow(self):
@@ -261,8 +229,6 @@ class CalendarSimulator(Simulator):
                 continue
             event = bucket[index]
             self._active_index = index + 1
-            if event.cancelled:
-                continue
             self.now = self._active_time
             self.events_dispatched += 1
             if self._dispatch_hook is not None:
@@ -278,28 +244,16 @@ class CalendarSimulator(Simulator):
         while True:
             bucket = self._active_bucket
             if bucket is not None:
-                index = self._active_index
-                while index < len(bucket):
-                    if not bucket[index].cancelled:
-                        self._active_index = index
-                        return self._active_time
-                    index += 1
+                if self._active_index < len(bucket):
+                    return self._active_time
                 del self._buckets[self._active_time]
                 self._active_bucket = None
                 continue
-            if not self._times:
-                if self._overflow:
-                    self._migrate_overflow()
-                    continue
+            if self._times:
+                return self._times[0]
+            if not self._overflow:
                 return None
-            time = self._times[0]
-            bucket = self._buckets[time]
-            while bucket and bucket[0].cancelled:
-                bucket.pop(0)
-            if bucket:
-                return time
-            del self._buckets[time]
-            heapq.heappop(self._times)
+            self._migrate_overflow()
 
     @property
     def pending_events(self):
@@ -325,15 +279,13 @@ _DELAYS = st.one_of(
     st.floats(min_value=0.0, max_value=4.0 * HORIZON, allow_nan=False, width=32),
 )
 
-# An event: (delay, through schedule_transient?, children scheduled from
-# inside its callback as (delay, transient?), stop() from its callback?).
-_CHILD = st.tuples(_DELAYS, st.booleans())
-_EVENT = st.tuples(_DELAYS, st.booleans(), st.lists(_CHILD, max_size=3), st.booleans())
+# An event: (delay, delays of the children scheduled from inside its
+# callback, stop() from its callback?).
+_EVENT = st.tuples(_DELAYS, st.lists(_DELAYS, max_size=3), st.booleans())
 
 _OPS = st.lists(
     st.one_of(
         st.tuples(st.just("schedule"), _EVENT),
-        st.tuples(st.just("cancel"), st.integers(min_value=0, max_value=40)),
         st.tuples(st.just("peek")),
         st.tuples(st.just("step")),
         st.tuples(
@@ -352,32 +304,22 @@ class _ScriptRunner:
     def __init__(self, sim):
         self.sim = sim
         self.log = []
-        self.handles = []
 
     def _fire(self, tag, children, stops):
         sim = self.sim
         self.log.append((tag, sim.now))
-        for offset, (delay, transient) in enumerate(children):
-            self._schedule((tag, offset), delay, transient, (), False)
+        for offset, delay in enumerate(children):
+            sim.schedule(delay, self._fire, (tag, offset), (), False)
         if stops:
             sim.stop()
-
-    def _schedule(self, tag, delay, transient, children, stops):
-        if transient:
-            self.sim.schedule_transient(delay, self._fire, tag, tuple(children), stops)
-        else:
-            self.handles.append(self.sim.schedule(delay, self._fire, tag, tuple(children), stops))
 
     def apply(self, index, op):
         kind = op[0]
         sim = self.sim
         result = None
         if kind == "schedule":
-            delay, transient, children, stops = op[1]
-            self._schedule(index, delay, transient, children, stops)
-        elif kind == "cancel":
-            if self.handles:
-                self.handles[op[1] % len(self.handles)].cancel()
+            delay, children, stops = op[1]
+            sim.schedule(delay, self._fire, index, tuple(children), stops)
         elif kind == "peek":
             result = sim.peek()
         elif kind == "step":
@@ -427,10 +369,7 @@ def _recording(engine_cls):
             self.dispatches = []
 
         def schedule(self, delay, callback, *args):
-            return super().schedule(delay, self._record, callback, args)
-
-        def schedule_transient(self, delay, callback, *args):
-            super().schedule_transient(delay, self._record, callback, args)
+            super().schedule(delay, self._record, callback, args)
 
         def _record(self, callback, args):
             name = getattr(callback, "__qualname__", type(callback).__qualname__)

@@ -4,6 +4,7 @@ import pytest
 
 from repro.errors import SimulationError
 from repro.sim import Simulator
+from repro.sim.observe import SimObserver
 
 
 def test_time_starts_at_zero():
@@ -74,33 +75,6 @@ def test_negative_delay_rejected_mid_run_leaves_queue_intact():
     assert sim.peek() is None
 
 
-def test_schedule_at_absolute_time():
-    sim = Simulator()
-    fired = []
-    sim.schedule_at(42.0, fired.append, "x")
-    sim.run()
-    assert fired == ["x"]
-    assert sim.now == 42.0
-
-
-def test_schedule_at_past_rejected():
-    sim = Simulator()
-    sim.schedule(10.0, lambda: None)
-    sim.run()
-    with pytest.raises(SimulationError):
-        sim.schedule_at(5.0, lambda: None)
-
-
-def test_cancelled_event_does_not_fire():
-    sim = Simulator()
-    fired = []
-    handle = sim.schedule(10.0, fired.append, "dropped")
-    sim.schedule(20.0, fired.append, "kept")
-    handle.cancel()
-    sim.run()
-    assert fired == ["kept"]
-
-
 def test_run_until_stops_and_advances_clock():
     sim = Simulator()
     fired = []
@@ -153,14 +127,6 @@ def test_run_max_events():
     assert fired == [0, 1, 2]
 
 
-def test_peek_skips_cancelled():
-    sim = Simulator()
-    handle = sim.schedule(5.0, lambda: None)
-    sim.schedule(9.0, lambda: None)
-    handle.cancel()
-    assert sim.peek() == 9.0
-
-
 def test_events_dispatched_counter():
     sim = Simulator()
     for i in range(4):
@@ -182,3 +148,15 @@ def test_events_scheduled_inside_callbacks_chain():
     sim.run()
     assert fired == [0, 1, 2, 3, 4, 5]
     assert sim.now == 50.0
+
+
+class _DispatchProbe(SimObserver):
+    def on_dispatch(self, time, chain):
+        pass
+
+
+def test_second_dispatch_hook_rejected_at_attach():
+    sim = Simulator()
+    sim.attach(_DispatchProbe())
+    with pytest.raises(SimulationError, match="on_dispatch"):
+        sim.attach(_DispatchProbe())

@@ -1,19 +1,10 @@
 """Unit tests for coroutine processes, signals, and resources."""
 
+import numpy as np
 import pytest
 
 from repro.errors import SimulationError
-from repro.sim import (
-    Completion,
-    Delay,
-    FifoChannel,
-    Mutex,
-    Server,
-    Signal,
-    Simulator,
-    WaitSignal,
-    spawn,
-)
+from repro.sim import Completion, FifoChannel, Server, Signal, Simulator, spawn
 
 
 def test_process_delay_advances_time():
@@ -21,9 +12,9 @@ def test_process_delay_advances_time():
     log = []
 
     def body():
-        yield Delay(10.0)
+        yield 10.0
         log.append(sim.now)
-        yield Delay(5.0)
+        yield 5.0
         log.append(sim.now)
 
     spawn(sim, body())
@@ -36,7 +27,7 @@ def test_process_return_value_and_join():
     log = []
 
     def child():
-        yield Delay(20.0)
+        yield 20.0
         return "payload"
 
     def parent():
@@ -58,7 +49,7 @@ def test_join_already_finished_process():
 
     def parent():
         proc = spawn(sim, child())
-        yield Delay(50.0)
+        yield 50.0
         value = yield proc
         log.append(value)
 
@@ -73,7 +64,7 @@ def test_signal_wakes_all_waiters_with_value():
     log = []
 
     def waiter(tag):
-        value = yield WaitSignal(signal)
+        value = yield signal
         log.append((tag, value, sim.now))
 
     spawn(sim, waiter("a"))
@@ -89,8 +80,8 @@ def test_signal_is_edge_triggered():
     log = []
 
     def late_waiter():
-        yield Delay(50.0)  # arrives after the only fire
-        value = yield WaitSignal(signal)
+        yield 50.0  # arrives after the only fire
+        value = yield signal
         log.append(value)
 
     spawn(sim, late_waiter())
@@ -105,8 +96,8 @@ def test_completion_latches_for_late_waiters():
     log = []
 
     def late_waiter():
-        yield Delay(50.0)
-        value = yield WaitSignal(done)
+        yield 50.0
+        value = yield done
         log.append((sim.now, value))
 
     spawn(sim, late_waiter())
@@ -128,7 +119,7 @@ def test_yield_from_composition():
     log = []
 
     def inner():
-        yield Delay(5.0)
+        yield 5.0
         return "inner-done"
 
     def outer():
@@ -144,38 +135,54 @@ def test_unsupported_yield_raises():
     sim = Simulator()
 
     def body():
-        yield 42
+        yield "42"
 
     spawn(sim, body())
-    with pytest.raises(SimulationError):
+    with pytest.raises(SimulationError, match="unsupported command"):
         sim.run()
 
 
-class TestMutex:
-    def test_fifo_ownership(self):
+def test_bool_yield_is_not_a_delay():
+    sim = Simulator()
+
+    def body():
+        yield True
+
+    spawn(sim, body())
+    with pytest.raises(SimulationError, match="unsupported command"):
+        sim.run()
+
+
+@pytest.mark.parametrize("delay", [-1.0, -1, np.float64(-0.5)])
+def test_negative_yielded_delay_raises(delay):
+    sim = Simulator()
+
+    def body():
+        yield delay
+
+    spawn(sim, body())
+    with pytest.raises(SimulationError, match="past"):
+        sim.run()
+
+
+def test_int_and_numpy_delays_match_float():
+    def wake_times(delays):
         sim = Simulator()
-        mutex = Mutex(sim)
         log = []
 
-        def worker(tag, hold):
-            yield from mutex.acquire()
-            log.append((tag, sim.now))
-            yield Delay(hold)
-            mutex.release()
+        def body():
+            for delay in delays:
+                yield delay
+                log.append(sim.now)
 
-        spawn(sim, worker("a", 10.0))
-        spawn(sim, worker("b", 10.0))
-        spawn(sim, worker("c", 10.0))
+        spawn(sim, body())
         sim.run()
-        assert log == [("a", 0.0), ("b", 10.0), ("c", 20.0)]
-        assert not mutex.locked
-        assert mutex.contended_acquires == 2
+        return log, sim.events_dispatched
 
-    def test_release_unlocked_raises(self):
-        sim = Simulator()
-        mutex = Mutex(sim)
-        with pytest.raises(SimulationError):
-            mutex.release()
+    floats = wake_times([3.0, 0.0, 7.0, 10.0])
+    assert floats == ([3.0, 3.0, 10.0, 20.0], 5)
+    assert wake_times([3, 0, 7, 10]) == floats
+    assert wake_times([np.float64(3.0), np.float64(0.0), np.float32(7.0), np.int64(10)]) == floats
 
 
 class TestServer:
@@ -249,41 +256,13 @@ class TestFifoChannel:
 
         def producer():
             for i in range(3):
-                yield Delay(10.0)
-                yield from chan.put(i)
+                yield 10.0
+                chan.put_nowait(i)
 
         spawn(sim, consumer())
         spawn(sim, producer())
         sim.run()
         assert [i for i, _ in got] == [0, 1, 2]
-
-    def test_bounded_put_blocks(self):
-        sim = Simulator()
-        chan = FifoChannel(sim, capacity=1)
-        log = []
-
-        def producer():
-            yield from chan.put("a")
-            log.append(("a-in", sim.now))
-            yield from chan.put("b")  # blocks until consumer takes "a"
-            log.append(("b-in", sim.now))
-
-        def consumer():
-            yield Delay(100.0)
-            chan.try_get()
-
-        spawn(sim, producer())
-        spawn(sim, consumer())
-        sim.run()
-        assert log[0] == ("a-in", 0.0)
-        assert log[1][1] == 100.0
-
-    def test_put_nowait_full_raises(self):
-        sim = Simulator()
-        chan = FifoChannel(sim, capacity=1)
-        chan.put_nowait(1)
-        with pytest.raises(SimulationError):
-            chan.put_nowait(2)
 
     def test_try_get_empty_raises(self):
         sim = Simulator()

@@ -8,11 +8,9 @@ from hypothesis import strategies as st
 
 from repro.sim import (
     Counter,
-    Delay,
     RngStreams,
     Simulator,
     StatAccumulator,
-    WaitSignal,
     first_of,
     spawn,
     timer,
@@ -182,7 +180,7 @@ class TestRaceHelpers:
         outcome = {}
 
         def body():
-            index, _ = yield WaitSignal(first_of(sim, slow, fast))
+            index, _ = yield first_of(sim, slow, fast)
             outcome["index"] = index
             outcome["time"] = sim.now
 
@@ -217,7 +215,7 @@ class TestRaceHelpers:
         got = {}
 
         def body():
-            got["value"] = yield WaitSignal(race)
+            got["value"] = yield race
 
         spawn(sim, body())
         sim.run(until=50.0)

@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 
 from repro.config import OPTANE_PMM, ZSSD, DeviceConfig
 from repro.errors import StorageError
-from repro.sim import Completion, Delay, Simulator, WaitSignal, spawn
+from repro.sim import Completion, Simulator, spawn
 from repro.storage import DeviceLatencyModel, NVMeCommand, NVMeDevice, NVMeOpcode
 from repro.storage.nvme import NVMeStatus
 
@@ -186,7 +186,6 @@ class RefServer:
     def __init__(self, sim, capacity):
         self.sim = sim
         self.capacity = capacity
-        self._delay = Delay(0.0)
         self._busy = 0
         self._waiters = deque()
         self.busy_time_ns = 0.0
@@ -206,14 +205,12 @@ class RefServer:
             enqueue_time = self.sim.now
             ticket = Completion(self.sim, "ref-ticket")
             self._waiters.append(ticket)
-            yield WaitSignal(ticket)
+            yield ticket
             self.total_queue_wait_ns += self.sim.now - enqueue_time
         self._busy += 1
         service_time = duration()
-        delay = self._delay
-        delay.ns = service_time
         try:
-            yield delay
+            yield service_time
         finally:
             self._busy -= 1
             self.busy_time_ns += service_time
@@ -251,7 +248,7 @@ class RefNVMeDevice(NVMeDevice):
             decision = self.fault_injector.decide(self.name, command, self.sim.now)
             if decision is not None:
                 if decision.extra_delay_ns > 0.0:
-                    yield Delay(decision.extra_delay_ns)
+                    yield decision.extra_delay_ns
                 command.status = NVMeStatus[decision.status_name]
         command.complete_time_ns = self.sim.now
         qp.outstanding -= 1

@@ -5,7 +5,8 @@ import pytest
 from repro.config import CpuConfig, PagingMode
 from repro.core.system import build_system
 from repro.errors import ConfigError, SimulationError
-from repro.sim import Completion, Delay, WaitSignal
+from repro.sim import Completion
+from repro.workloads.fio import FioRandomRead
 
 from tests.helpers import tiny_config
 
@@ -95,7 +96,7 @@ class TestRun:
         system = build_system(tiny_config(PagingMode.HWDP))
 
         def body():
-            yield Delay(1234.0)
+            yield 1234.0
 
         proc = system.spawn(body(), "w")
         finish = system.run([proc])
@@ -107,19 +108,42 @@ class TestRun:
         never = Completion(system.sim, "never")
 
         def body():
-            yield WaitSignal(never)
+            yield never
 
         proc = system.spawn(body(), "stuck")
         with pytest.raises(SimulationError):
             system.run([proc])
+
+    def test_run_max_events_detects_lost_wait(self):
+        system = build_system(tiny_config(PagingMode.OSDP))
+        never = Completion(system.sim, "never")
+
+        def body():
+            yield never
+
+        proc = system.spawn(body(), "stuck")
+        with pytest.raises(SimulationError, match="a wait was lost"):
+            system.run([proc], max_events=100_000)
+
+    def test_setup_coroutine_detects_lost_wait(self):
+        system = build_system(tiny_config(PagingMode.OSDP))
+        never = Completion(system.sim, "never")
+
+        def setup():
+            yield never
+
+        with pytest.raises(SimulationError, match="a wait was lost"):
+            FioRandomRead(ops_per_thread=1, file_pages=64).run_setup_coroutine(
+                system, setup()
+            )
 
     def test_run_max_events_guard(self):
         system = build_system(tiny_config(PagingMode.HWDP))
 
         def body():
             while True:
-                yield Delay(1.0)
+                yield 1.0
 
         proc = system.spawn(body(), "loop")
-        with pytest.raises(SimulationError):
+        with pytest.raises(SimulationError, match="did not finish within 100 events"):
             system.run([proc], max_events=100)
