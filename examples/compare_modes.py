@@ -1,25 +1,34 @@
 #!/usr/bin/env python3
 """Head-to-head comparison of all three demand-paging implementations.
 
-Uses the ``repro.analysis`` API: run the same seeded workload on OSDP,
-SWDP and HWDP machines, build structured run reports, and print the
-normalized comparison — the shape of the paper's whole evaluation in one
-screen.
+Run the same seeded workload on OSDP, SWDP and HWDP machines and print the
+five numbers the paper's evaluation compares, one column per mode — the
+shape of the paper's whole evaluation in one screen.
 
-Run:  python examples/compare_modes.py [--workload fio|dbbench|ycsb-c]
+Run:  python examples/compare_modes.py [--workload fio|dbbench|ycsb-c|ycsb-a]
 """
 
 import argparse
 
-from repro.analysis import comparison_text, summarize
 from repro.config import PagingMode
-from repro.experiments.runner import QUICK
+from repro.experiments.runner import QUICK, aggregate_perf
 from repro.experiments.workload_runs import run_kv_workload
 
+MODES = (PagingMode.OSDP, PagingMode.SWDP, PagingMode.HWDP)
 
-def measure(workload: str, mode: PagingMode):
-    cell = run_kv_workload(workload, mode, QUICK, threads=4)
-    return summarize(cell.system, cell.driver, cell.elapsed_ns)
+
+def measure(workload: str, mode: PagingMode) -> dict:
+    """One run's compared metrics, in display order."""
+    run = run_kv_workload(workload, mode, QUICK, threads=4)
+    latency = run.driver.op_latency
+    perf = aggregate_perf(run.driver.threads)
+    return {
+        "throughput (ops/s)": run.throughput,
+        "mean op latency (us)": latency.mean / 1000.0,
+        "p99 op latency (us)": latency.percentile(99) / 1000.0,
+        "user IPC": perf.user_ipc,
+        "kernel instructions": perf.kernel_instructions,
+    }
 
 
 def main() -> None:
@@ -29,19 +38,15 @@ def main() -> None:
     )
     args = parser.parse_args()
 
-    reports = {
-        mode: measure(args.workload, mode)
-        for mode in (PagingMode.OSDP, PagingMode.SWDP, PagingMode.HWDP)
-    }
+    results = {mode: measure(args.workload, mode) for mode in MODES}
 
     print(f"workload: {args.workload}, 4 threads, dataset = 2x memory\n")
-    print(reports[PagingMode.HWDP].to_text())
-    print()
-    print("-- HWDP vs OSDP " + "-" * 50)
-    print(comparison_text(reports[PagingMode.OSDP], reports[PagingMode.HWDP]))
-    print()
-    print("-- HWDP vs SW-only emulation " + "-" * 37)
-    print(comparison_text(reports[PagingMode.SWDP], reports[PagingMode.HWDP]))
+    header = f"{'metric':26s}" + "".join(f"  {mode.value:>12s}" for mode in MODES)
+    print(header)
+    print("-" * len(header))
+    for metric in results[PagingMode.OSDP]:
+        values = "".join(f"  {results[mode][metric]:12,.2f}" for mode in MODES)
+        print(f"{metric:26s}{values}")
     print(
         "\nThe software-only fast path already removes most OS overhead;"
         "\nthe hardware removes what is left (paper Figure 17)."

@@ -67,13 +67,10 @@ class ThreadContext:
         #: Workload-specific IPC multiplier (SPEC-like kernels differ in
         #: inherent ILP; see :mod:`repro.workloads.spec`).
         self.ipc_scale = 1.0
-        #: When set (a list), every kernel phase appends
-        #: ``(sim_time_ns, phase_name, duration_ns)`` — the raw material
-        #: for measured fault-path breakdowns (see repro.analysis.phases).
-        self.phase_trace = None
         #: Open miss-lifecycle span this thread is currently inside (see
         #: :mod:`repro.obs.trace`); kernel phases charged while it is set
-        #: land in the span as typed events.
+        #: land in the span as typed events, the one record of the phases
+        #: a fault took (fig03 and ``--trace`` read them).
         self.active_span = None
         core.bind(self)
         self.finished = False
@@ -150,8 +147,6 @@ class ThreadContext:
         """Run one kernel phase of ``ns`` length in this thread's context."""
         if ns <= 0:
             return
-        if self.phase_trace is not None:
-            self.phase_trace.append((self.sim.now, name, ns))
         if self.active_span is not None:
             self.active_span.event(self.sim.now, name, ns)
         core = self.core

@@ -5,19 +5,21 @@ aggregate software overhead as 76.3 % of the device time on an ultra-low
 latency SSD.  Reproduced two ways and cross-checked:
 
 * the machine's configured cost table (the calibration itself), and
-* a *measured* per-phase breakdown from live phase traces of a one-thread
-  FIO run (``repro.analysis.phases``) — each phase's mean time per fault
-  must agree with the table, and the measured mean fault latency must be
-  device time + critical-path overhead.
+* a *measured* per-phase breakdown of a one-thread FIO run, read from the
+  kernel-phase events of its OSDP miss spans (:mod:`repro.obs.trace`) —
+  each phase's mean time per fault must agree with the table, and the
+  measured mean fault latency must be device time + critical-path
+  overhead.
 
-A single traced run feeds the whole table, so this spec has one cell.
+The spans go to the run's ``--trace`` sink when one is attached, and to a
+private sink otherwise.  A single traced run feeds the whole table, so
+this spec has one cell.
 """
 
 from __future__ import annotations
 
 from typing import Dict, List
 
-from repro.analysis.phases import aggregate_phases, enable_tracing, merge_traces
 from repro.config import PagingMode
 from repro.experiments.registry import Cell, ExperimentSpec, register
 from repro.experiments.runner import (
@@ -26,6 +28,8 @@ from repro.experiments.runner import (
     ExperimentScale,
     build,
 )
+from repro.obs.export import span_breakdown
+from repro.obs.trace import PATH_OSDP, TraceSink
 from repro.workloads.fio import FioRandomRead
 
 #: Cost-table phase name → traced phase name.
@@ -56,21 +60,25 @@ def _cell(scale: ExperimentScale, params: Dict) -> Dict:
         file_pages=scale.memory_frames * 4,
     )
     driver.prepare(system, num_threads=1)
-    enable_tracing(driver.threads)
+    sink = system.sim.trace
+    if sink is None:
+        sink = TraceSink()
+        sink.attach(system.sim, "fig03")
+    first = len(sink.spans)
     system.run(driver.launch(system))
 
     costs = system.config.osdp_costs
     faults = driver.threads[0].perf.translations["os-fault"]
-    breakdown = aggregate_phases(merge_traces(driver.threads))
+    totals = span_breakdown(sink.spans[first:], PATH_OSDP).totals_ns
+    # Device time has its own row; the traced rows are kernel time only.
+    del totals["device_service"]
     return {
         "device_ns": system.device.read_device_time.mean,
         "measured_total": driver.threads[0].perf.miss_latency["os-fault"].mean,
         "faults": faults,
         "phase_table": [[phase, ns] for phase, ns in costs.phase_table().items()],
-        "traced_totals": {
-            name: total for name, total in breakdown.totals_ns.items()
-        },
-        "traced_total_ns": breakdown.total_ns,
+        "traced_totals": totals,
+        "traced_total_ns": sum(totals.values()),
         "critical_path_ns": costs.critical_path_ns,
     }
 

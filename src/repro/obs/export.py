@@ -9,19 +9,19 @@ track.  Timestamps are microseconds in the format; the simulator's
 nanoseconds are divided by 1000 (floats carry the sub-microsecond part).
 
 :func:`span_breakdown` turns recorded spans into the measured Fig. 3 /
-Fig. 11 per-phase analogue: because span events are ``(time, name,
-duration)`` triples — the same shape as thread phase traces — the
-aggregation *is* :func:`repro.analysis.phases.aggregate_phases`, so the
-trace-derived breakdown is consistent with phase-trace analysis by
-construction.
+Fig. 11 per-phase analogue, a :class:`PhaseBreakdown`.  Every kernel
+phase an OS fault charges lands in its miss span, so the spans are the
+one record of where a miss spent its time: fig03 reads its per-phase
+totals from them, and ``--trace`` prints the same breakdown per path.
 """
 
 from __future__ import annotations
 
 import json
+from collections import defaultdict
+from dataclasses import dataclass
 from typing import Any, Dict, Iterable, List, Optional
 
-from repro.analysis.phases import PhaseBreakdown, aggregate_phases
 from repro.obs.trace import MissSpan, TraceSink
 
 _NS_PER_US = 1000.0
@@ -293,20 +293,58 @@ def validate_chrome_trace(data: Any) -> List[str]:
 # ----------------------------------------------------------------------
 # measured latency breakdowns (the Fig. 3 / Fig. 11 analogue)
 # ----------------------------------------------------------------------
+@dataclass
+class PhaseBreakdown:
+    """Aggregated per-phase costs: total ns and occurrence count by name."""
+
+    totals_ns: Dict[str, float]
+    counts: Dict[str, int]
+
+    @property
+    def total_ns(self) -> float:
+        return sum(self.totals_ns.values())
+
+    def mean_ns(self, phase: str) -> float:
+        count = self.counts.get(phase, 0)
+        return self.totals_ns.get(phase, 0.0) / count if count else 0.0
+
+    def fraction(self, phase: str) -> float:
+        total = self.total_ns
+        return self.totals_ns.get(phase, 0.0) / total if total else 0.0
+
+    def to_text(self, title: str = "kernel phase breakdown") -> str:
+        lines = [f"== {title} =="]
+        width = max((len(name) for name in self.totals_ns), default=10)
+        for phase, total in sorted(
+            self.totals_ns.items(), key=lambda item: -item[1]
+        ):
+            lines.append(
+                f"{phase:{width}s}  total {total:12,.0f} ns  "
+                f"x{self.counts[phase]:<6d} mean {self.mean_ns(phase):9,.1f} ns  "
+                f"{100 * self.fraction(phase):5.1f}%"
+            )
+        lines.append(f"{'TOTAL':{width}s}  total {self.total_ns:12,.0f} ns")
+        return "\n".join(lines)
+
+
 def span_breakdown(
     spans: Iterable[MissSpan], path: Optional[str] = None
 ) -> PhaseBreakdown:
     """Aggregate span events into a per-phase breakdown.
 
     Filters to one lifecycle ``path`` when given; zero-duration marker
-    events contribute counts but no time.
+    events contribute counts but no time.  Phases appear in the order
+    they first occur, and each total sums its durations in span order.
     """
-    events = []
+    totals: Dict[str, float] = defaultdict(float)
+    counts: Dict[str, int] = defaultdict(int)
     for span in spans:
         if path is not None and span.path != path:
             continue
-        events.extend(span.events)
-    return aggregate_phases(events)
+        for _, name, duration in span.events:
+            totals[name] += duration
+            counts[name] += 1
+    return PhaseBreakdown(dict(totals), dict(counts))
 
 
 def breakdown_report(sink: TraceSink) -> str:

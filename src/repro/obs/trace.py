@@ -35,11 +35,12 @@ from __future__ import annotations
 
 from typing import Any, Dict, List, Optional, Tuple
 
+from repro.errors import SimulationError
 from repro.sim.observe import SimObserver
 
-#: One typed span event: ``(sim_time_ns, name, duration_ns)`` — the same
-#: shape as :data:`repro.analysis.phases.PhaseEvent`, so span events feed
-#: :func:`repro.analysis.phases.aggregate_phases` directly.
+#: One typed span event: ``(sim_time_ns, name, duration_ns)``.  A kernel
+#: phase charged inside the span and a segment of the SMU pipeline take the
+#: same shape, so :func:`repro.obs.export.span_breakdown` aggregates both.
 SpanEvent = Tuple[float, str, float]
 
 #: Span outcomes.
@@ -144,7 +145,8 @@ class TraceSink(SimObserver):
 
     One sink can observe several sequential simulations (the experiments
     CLI traces every cell of a run into one sink); :meth:`attach` switches
-    the sink to a new simulator and labels the spans it produces.  Only
+    the sink to a new simulator and labels the spans it produces.  A
+    simulator has at most one sink: attaching a second raises.  Only
     recording methods are on the hot path and none of them touch the event
     queue — a sink observes, it never participates.
     """
@@ -170,15 +172,17 @@ class TraceSink(SimObserver):
         """
         if unit is None:
             unit = f"sim-{len(self.units)}"
+        sim.attach(self)
         self._unit = unit
         self.units.append(unit)
-        sim.attach(self)
 
     def on_attach(self, sim: Any) -> None:
         """Publish the ``sim.trace`` side-channel model components emit
         through.  The sink defines no per-dispatch hook — recording is
         driven entirely by component emission sites, so attaching a sink
         leaves the engine's dispatch fast path untouched."""
+        if sim.trace is not None and sim.trace is not self:
+            raise SimulationError("simulator already has a trace sink attached")
         self._sim = sim
         sim.trace = self
 

@@ -100,24 +100,17 @@ class Simulator:
         """Attach an observer and rebind the pre-compiled hook fast path.
 
         ``observer.on_attach(self)`` runs first (wiring side-channels like
-        :attr:`trace`/:attr:`sanitizer`), then the engine binds the
-        attached observers' ``on_dispatch``/``event_chain`` hooks as the
-        two callables the hot loops consult.  At most one attached
-        observer may define each hook; a second raises
-        :class:`SimulationError`.
+        :attr:`trace`/:attr:`sanitizer`, and refusing a second trace sink
+        or sanitizer), then the engine binds the attached observers'
+        ``on_dispatch``/``event_chain`` hooks as the two callables the hot
+        loops consult.  At most one attached observer may define each
+        hook; a second raises :class:`SimulationError`.  An observer stays
+        attached for the simulator's lifetime.
         """
-        self._observers.append(observer)
         on_attach = getattr(observer, "on_attach", None)
         if on_attach is not None:
             on_attach(self)
-        self._rebind_hooks()
-
-    def detach(self, observer: Any) -> None:
-        """Detach a previously attached observer."""
-        self._observers.remove(observer)
-        on_detach = getattr(observer, "on_detach", None)
-        if on_detach is not None:
-            on_detach(self)
+        self._observers.append(observer)
         self._rebind_hooks()
 
     def _rebind_hooks(self) -> None:

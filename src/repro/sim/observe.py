@@ -10,10 +10,12 @@ attached — the zero-overhead-when-disabled contract.
 
 An observer provides any subset of:
 
-``on_attach(sim)`` / ``on_detach(sim)``
+``on_attach(sim)``
     Wiring: grab references, publish yourself on engine side-channels
     (``sim.trace``, ``sim.sanitizer``) for the model components that emit
-    through them.
+    through them.  Each side-channel holds one observer; ``on_attach``
+    raises :class:`repro.errors.SimulationError` when another already
+    holds it.  Observers stay attached for the simulator's lifetime.
 ``on_dispatch(time, chain)``
     Called before every event callback runs.  Only observers that truly
     need per-dispatch granularity (the sanitizer) should define it.
@@ -45,7 +47,3 @@ class SimObserver:
 
     def on_attach(self, sim: Any) -> None:
         """Called once when the observer is attached to ``sim``."""
-
-    def on_detach(self, sim: Any) -> None:
-        """Called once when the observer is detached from ``sim``."""
-

@@ -13,7 +13,6 @@ from repro.workloads.distributions import (
     uniform_scan_length,
 )
 from repro.workloads.fio import FioRandomRead, FioSequentialRead
-from repro.workloads.graph import GraphBFS, SyntheticGraph
 from repro.workloads.kvstore import KVStore
 from repro.workloads.mixed import PolicyMixWorkload
 from repro.workloads.spec import SPEC_KERNELS, SpecCompute, SpecKernel
@@ -31,8 +30,6 @@ __all__ = [
     "BatchedStream",
     "FioRandomRead",
     "FioSequentialRead",
-    "GraphBFS",
-    "SyntheticGraph",
     "KVStore",
     "PolicyMixWorkload",
     "DbBenchReadRandom",

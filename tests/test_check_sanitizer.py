@@ -11,6 +11,7 @@ import pytest
 
 from repro.check.sanitizer import SimSanitizer
 from repro.errors import SimulationError
+from repro.obs.trace import TraceSink
 from repro.sim import Simulator
 from repro.sim.resources import FifoChannel
 
@@ -211,6 +212,9 @@ def test_double_attach_rejected():
     SimSanitizer().attach_sim(sim)
     with pytest.raises(SimulationError):
         SimSanitizer().attach_sim(sim)
+    # The rejected sanitizer leaves nothing attached behind it.
+    TraceSink().attach(sim, unit="after")
+    assert sim.trace is not None
 
 
 def test_sanitized_fig11_runs_hazard_free():

@@ -6,6 +6,7 @@ import json
 import pytest
 
 from repro.config import PagingMode
+from repro.errors import SimulationError
 from repro.obs import (
     COALESCED,
     COMPLETED,
@@ -13,15 +14,29 @@ from repro.obs import (
     PATH_OSDP,
     PATH_SWDP,
     MetricsRegistry,
+    MissSpan,
     TraceSink,
     chrome_trace,
     span_breakdown,
     validate_chrome_trace,
 )
 from repro.obs.export import breakdown_report
-from repro.analysis.phases import aggregate_phases, enable_tracing, merge_traces
 
 from tests.helpers import build_mapped_system, touch_pages
+
+#: The kernel phases of one OSDP fault (the rows of Fig. 3).
+OS_PHASES = (
+    "exception_walk",
+    "handler_entry",
+    "page_alloc",
+    "io_submit",
+    "context_switch_out",
+    "interrupt_delivery",
+    "io_completion",
+    "context_switch_in",
+    "metadata_update",
+    "return",
+)
 
 
 def traced_system(mode, **kwargs):
@@ -29,6 +44,45 @@ def traced_system(mode, **kwargs):
     sink = TraceSink()
     sink.attach(system.sim, unit="test")
     return system, thread, vma, sink
+
+
+def hand_span(path, *events):
+    span = MissSpan(0, "unit", path, "t0", 0.0)
+    for time_ns, name, duration_ns in events:
+        span.event(time_ns, name, duration_ns)
+    return span
+
+
+class TestSpanBreakdown:
+    def test_totals_and_counts(self):
+        spans = [
+            hand_span(PATH_OSDP, (0.0, "io_submit", 100.0), (5.0, "exception", 50.0)),
+            hand_span(PATH_OSDP, (10.0, "io_submit", 140.0)),
+            hand_span(PATH_HWDP, (20.0, "io_submit", 999.0)),
+        ]
+        breakdown = span_breakdown(spans, PATH_OSDP)
+        assert breakdown.totals_ns == {"io_submit": 240.0, "exception": 50.0}
+        assert breakdown.counts == {"io_submit": 2, "exception": 1}
+        assert breakdown.mean_ns("io_submit") == 120.0
+        assert breakdown.total_ns == 290.0
+        assert breakdown.fraction("exception") == pytest.approx(50.0 / 290.0)
+        # Without a path every span counts.
+        assert span_breakdown(spans).counts["io_submit"] == 3
+
+    def test_empty(self):
+        breakdown = span_breakdown([])
+        assert breakdown.total_ns == 0.0
+        assert breakdown.mean_ns("anything") == 0.0
+        assert breakdown.fraction("anything") == 0.0
+
+    def test_to_text_sorted_by_total(self):
+        span = hand_span(PATH_OSDP, (0.0, "alpha", 10.0), (1.0, "beta", 30.0))
+        text = span_breakdown([span]).to_text("demo")
+        assert "demo" in text
+        assert "alpha" in text and "beta" in text
+        assert "TOTAL" in text
+        # Sorted by total, descending: beta first.
+        assert text.index("beta") < text.index("alpha")
 
 
 class TestOsdpSpans:
@@ -57,17 +111,28 @@ class TestOsdpSpans:
         names = {instant.name for instant in sink.instants}
         assert {"nvme.submit", "nvme.complete", "kernel.pte_install"} <= names
 
-    def test_spans_agree_with_phase_traces(self):
-        # The span-derived breakdown must match the phase-trace analysis
-        # for every phase both mechanisms observe.
+    def test_spans_capture_fault_phases(self):
         system, thread, vma, sink = traced_system(PagingMode.OSDP)
-        enable_tracing([thread])
+        touch_pages(system, thread, vma, [0, 1])
+        breakdown = span_breakdown(sink.spans, PATH_OSDP)
+        for phase in OS_PHASES:
+            assert breakdown.counts[phase] == 2, phase
+        costs = system.config.osdp_costs
+        assert breakdown.mean_ns("io_submit") == pytest.approx(costs.io_submit_ns)
+        kernel_ns = breakdown.total_ns - breakdown.totals_ns["device_service"]
+        assert kernel_ns == pytest.approx(2 * costs.total_cpu_ns, rel=0.01)
+
+    def test_spans_hold_every_kernel_phase_of_the_faults(self):
+        # The spans are the one record of the fault path's kernel phases:
+        # every kernel cycle the faults charge the thread is in a span.
+        system, thread, vma, sink = traced_system(PagingMode.OSDP)
+        cycles_before = thread.perf.kernel_cycles
         touch_pages(system, thread, vma, range(6))
-        phase = aggregate_phases(merge_traces([thread]))
-        spans = span_breakdown(sink.spans, PATH_OSDP)
-        for name, total in phase.totals_ns.items():
-            assert spans.totals_ns[name] == pytest.approx(total)
-            assert spans.counts[name] == phase.counts[name]
+        breakdown = span_breakdown(sink.spans, PATH_OSDP)
+        kernel_ns = breakdown.total_ns - breakdown.totals_ns["device_service"]
+        charged_ns = (thread.perf.kernel_cycles - cycles_before) / system.config.cpu.freq_ghz
+        assert kernel_ns == pytest.approx(charged_ns)
+        assert set(breakdown.counts) == set(OS_PHASES) | {"device_service"}
 
 
 class TestHwdpSpans:
@@ -92,6 +157,16 @@ class TestHwdpSpans:
                 "notify_broadcast",
             ):
                 assert expected in names, f"{expected} missing from {names}"
+
+    def test_hwdp_spans_carry_no_os_phases(self):
+        system, thread, vma, sink = traced_system(PagingMode.HWDP)
+        cycles_before = thread.perf.kernel_cycles
+        touch_pages(system, thread, vma, [0, 1])
+        names = {name for span in sink.spans for _, name, _ in span.events}
+        assert sink.span_count(PATH_HWDP) == 2
+        assert names.isdisjoint(OS_PHASES)
+        # Hardware path: no kernel time charged to the thread at all.
+        assert thread.perf.kernel_cycles == cycles_before
 
     def test_pmshr_and_host_instants(self):
         system, thread, vma, sink = traced_system(PagingMode.HWDP)
@@ -163,11 +238,15 @@ class TestChromeTraceExport:
         json.dumps(data)
 
     def test_units_get_distinct_pids(self):
+        # One sink follows several simulators in turn, as the CLI does.
         sink = TraceSink()
         for unit in ("cell-a", "cell-b"):
             system, thread, vma = build_mapped_system(PagingMode.OSDP)
             sink.attach(system.sim, unit=unit)
             touch_pages(system, thread, vma, range(2))
+        assert sink.units == ["cell-a", "cell-b"]
+        assert [span.unit for span in sink.spans] == ["cell-a"] * 2 + ["cell-b"] * 2
+        assert sink.open_spans == 0
         data = chrome_trace(sink)
         span_pids = {
             e["pid"]
@@ -193,6 +272,18 @@ class TestChromeTraceExport:
         assert "hwdp" in report
         assert "nvme_service" in report
         assert breakdown_report(TraceSink()) == "(no spans recorded)"
+
+
+class TestSinkWiring:
+    def test_second_sink_on_one_simulator_raises(self):
+        system, thread, vma, sink = traced_system(PagingMode.OSDP)
+        second = TraceSink()
+        with pytest.raises(SimulationError, match="trace sink"):
+            second.attach(system.sim, unit="second")
+        assert second.units == []
+        touch_pages(system, thread, vma, range(3))
+        assert system.sim.trace is sink
+        assert sink.span_count(PATH_OSDP) == 3
 
 
 class TestZeroPerturbation:
@@ -257,6 +348,25 @@ class TestEngineObservation:
         assert observation.trace.span_count() > 0
         assert observation.trace.units == ["fig03"]
         assert [unit for unit, _ in observation.registries] == ["fig03"]
+
+    def test_fig03_reads_the_runs_own_sink(self):
+        from repro.experiments.fig03_fault_breakdown import _cell
+        from repro.experiments.runner import QUICK
+        from repro.obs import runtime
+        from repro.obs.runtime import Observation
+
+        plain = _cell(QUICK, {})
+        observation = Observation(trace=TraceSink())
+        observation.set_unit("fig03")
+        runtime.activate(observation)
+        try:
+            traced = _cell(QUICK, {})
+        finally:
+            runtime.deactivate()
+        assert json.dumps(traced) == json.dumps(plain)
+        sink = observation.trace
+        assert sink.units == ["fig03"]
+        assert sink.span_count(PATH_OSDP) == sink.span_count() == traced["faults"] == 79
 
     def test_observation_bypasses_cache_reads(self, tmp_path):
         from repro.experiments import engine
