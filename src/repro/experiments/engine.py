@@ -583,7 +583,7 @@ def _run_warm(run: _Run, pending: Sequence[_Slot]) -> List[_Slot]:
         worker = f"warm-g{serial}"
         for slot in slots:
             run.dispatch(slot, worker)
-        records = _fork_group(run.scale, params, slots)
+        records = _fork_group(run.scale, params, slots, digest=run.cache is not None)
         if records is None:
             for slot in slots:
                 run.fail(slot, "worker-died", "warm group leader could not fork",
@@ -623,11 +623,16 @@ def _run_warm(run: _Run, pending: Sequence[_Slot]) -> List[_Slot]:
 
 
 def _fork_group(
-    scale: ExperimentScale, group_params: Params, slots: Sequence[_Slot]
+    scale: ExperimentScale,
+    group_params: Params,
+    slots: Sequence[_Slot],
+    digest: bool,
 ) -> Optional[List[Dict[str, Any]]]:
     """Run one warm group in a forked leader; return its reported records.
 
-    ``None`` when the leader could not be forked.
+    ``digest`` asks the leader to digest the prefix state (only a run
+    with a cell cache records and checks it).  ``None`` when the leader
+    could not be forked.
     """
     try:
         read_fd, write_fd = os.pipe()
@@ -641,7 +646,7 @@ def _fork_group(
         return None
     if pid == 0:
         os.close(read_fd)
-        _warm_leader(write_fd, scale, group_params, slots)  # never returns
+        _warm_leader(write_fd, scale, group_params, slots, digest)  # never returns
     os.close(write_fd)
     records: List[Dict[str, Any]] = []
     with os.fdopen(read_fd, "r") as stream:
@@ -659,15 +664,17 @@ def _warm_leader(
     scale: ExperimentScale,
     group_params: Params,
     slots: Sequence[_Slot],
+    digest: bool,
 ) -> None:
     """Group leader (runs in a forked child; never returns).
 
-    Simulates the shared warmup prefix once, reports its state digest,
-    then forks one grandchild per cell: the grandchild diverges via
-    ``spec.warmup.finish`` over the inherited live context and ships its
-    canonical payload back up.  Grandchildren run strictly one at a time
-    (fork → drain pipe → waitpid) so their simulations never interleave
-    and the leader's memory image stays pristine between forks.
+    Simulates the shared warmup prefix once, reports it (with its state
+    digest when ``digest`` is set), then forks one grandchild per cell:
+    the grandchild diverges via ``spec.warmup.finish`` over the inherited
+    live context and ships its canonical payload back up.  Grandchildren
+    run strictly one at a time (fork → drain pipe → waitpid) so their
+    simulations never interleave and the leader's memory image stays
+    pristine between forks.
     """
     stream = os.fdopen(write_fd, "w")
     warmup = slots[0].spec.warmup
@@ -683,7 +690,7 @@ def _warm_leader(
             _emit({"kind": "prefix-error", "error": _error_text(exc)})
             return
         prefix_record: Dict[str, Any] = {"kind": "prefix"}
-        system = ctx.get("system") if isinstance(ctx, dict) else None
+        system = ctx.get("system") if digest and isinstance(ctx, dict) else None
         if system is not None:
             from repro.sim.checkpoint import snapshot_system
 
@@ -741,9 +748,8 @@ def _warm_leader(
 def _verify_prefix_artifact(
     run: _Run, spec: ExperimentSpec, group_params: Params, record: Dict[str, Any]
 ) -> None:
-    """Record a warmup prefix's digest; shout if it drifted from a prior run."""
-    if run.cache is None:
-        return
+    """Record a warmup prefix's digest in the cell cache; shout if it
+    drifted from a prior run.  Leaders digest only for runs with a cache."""
     prefix_key = warm_prefix_key(spec, run.scale, group_params)
     artifact = {
         "events": record.get("events"),

@@ -47,8 +47,8 @@ class MetricsRegistry:
 
     def register_stat(self, name: str, stat: Any) -> None:
         """A :class:`repro.sim.trace.StatAccumulator`; leaves are its
-        summary fields (count/mean/min/max/stddev and percentiles when
-        samples were retained)."""
+        summary fields (count/mean/min/max/stddev, and p50/p99 once it
+        has a sample)."""
         self._claim(name)
         self._sources.append((name, stat.summary))
 

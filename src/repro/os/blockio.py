@@ -20,7 +20,7 @@ from typing import Any, Callable, Dict, Optional
 
 from repro.errors import KernelError
 from repro.sim import Completion, Simulator
-from repro.storage.nvme import NVMeCommand, NVMeDevice, NVMeOpcode
+from repro.storage.nvme import NVMeCommand, NVMeDevice, NVMeOpcode, NVMeStatus
 
 
 class BlockIoStack:
@@ -33,7 +33,9 @@ class BlockIoStack:
             depth=queue_depth, interrupt_enabled=True, owner="os"
         )
         self._cid_counter = itertools.count(1)
-        self._inflight: Dict[int, Completion] = {}
+        #: In-flight commands by cid: a read's completion, or ``None`` for
+        #: a write (nothing waits on one).
+        self._inflight: Dict[int, Optional[Completion]] = {}
         self.reads_submitted = 0
         self.writes_submitted = 0
         self.read_errors = 0
@@ -48,21 +50,30 @@ class BlockIoStack:
         self.qp.cq.consume(self._interrupt_dispatcher)
 
     # ------------------------------------------------------------------
+    # repro: hot-path
     def submit_read(
         self, nsid: int, lba: int, dma_addr: int = 0, context: Any = None
     ) -> Completion:
         """Dispatch a 4 KB read; returns a completion that fires with the command."""
-        return self._submit(NVMeOpcode.READ, nsid, lba, dma_addr, context)
+        completion = Completion(self.sim, self._io_name)
+        self._submit(NVMeOpcode.READ, nsid, lba, dma_addr, context, completion)
+        self.reads_submitted += 1
+        return completion
 
+    # repro: hot-path
     def submit_write(
         self, nsid: int, lba: int, dma_addr: int = 0, context: Any = None
-    ) -> Completion:
+    ) -> None:
         """Dispatch a 4 KB write (WAL/flush/writeback traffic).
 
+        Writes are fire-and-forget: no caller waits on one, so none gets a
+        completion.  The write still counts in :attr:`inflight` until its
+        CQ entry arrives (the kernel's write throttle reads it).
         ``context`` names the object the write belongs to (the backing
         file) so an error completion can be latched against it.
         """
-        return self._submit(NVMeOpcode.WRITE, nsid, lba, dma_addr, context)
+        self._submit(NVMeOpcode.WRITE, nsid, lba, dma_addr, context, None)
+        self.writes_submitted += 1
 
     # repro: hot-path
     def _submit(
@@ -71,20 +82,15 @@ class BlockIoStack:
         nsid: int,
         lba: int,
         dma_addr: int,
-        context: Any = None,
-    ) -> Completion:
+        context: Any,
+        completion: Optional[Completion],
+    ) -> None:
         cid = next(self._cid_counter)
-        command = NVMeCommand(
-            opcode, nsid=nsid, lba=lba, cid=cid, dma_addr=dma_addr, context=context
-        )
-        completion = Completion(self.sim, self._io_name)
         self._inflight[cid] = completion
-        self.device.submit(self.qp, command)
-        if opcode is NVMeOpcode.READ:
-            self.reads_submitted += 1
-        else:
-            self.writes_submitted += 1
-        return completion
+        self.device.submit(
+            self.qp,
+            NVMeCommand(opcode, nsid, lba, cid=cid, dma_addr=dma_addr, context=context),
+        )
 
     # ------------------------------------------------------------------
     # repro: hot-path
@@ -94,17 +100,19 @@ class BlockIoStack:
         Models the device interrupt: the *delivery* cost is charged by the
         woken fault path (``interrupt_delivery_ns``), not here.
         """
-        completion = self._inflight.pop(command.cid, None)
-        if completion is None:
-            raise KernelError(f"completion for unknown cid {command.cid}")
-        if not command.ok:
-            if command.is_write:
+        try:
+            completion = self._inflight.pop(command.cid)
+        except KeyError:
+            raise KernelError(f"completion for unknown cid {command.cid}") from None
+        if command.status is not NVMeStatus.SUCCESS:
+            if command.opcode is NVMeOpcode.WRITE:
                 self.write_errors += 1
                 if self.on_write_error is not None:
                     self.on_write_error(command)
             else:
                 self.read_errors += 1
-        completion.fire(command)
+        if completion is not None:
+            completion.fire(command)
 
     @property
     def inflight(self) -> int:

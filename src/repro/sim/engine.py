@@ -47,6 +47,18 @@ MS = 1_000_000.0
 SEC = 1_000_000_000.0
 
 
+def _single_hook(observers: List[Any], name: str) -> Optional[Callable[..., Any]]:
+    """The one observer's ``name`` hook, or None; two raise."""
+    hooks = [
+        hook
+        for hook in (getattr(o, name, None) for o in observers)
+        if hook is not None
+    ]
+    if len(hooks) > 1:
+        raise SimulationError(f"at most one attached observer may define {name}")
+    return hooks[0] if hooks else None
+
+
 class Simulator:
     """A deterministic discrete-event simulator.
 
@@ -99,34 +111,25 @@ class Simulator:
     def attach(self, observer: Any) -> None:
         """Attach an observer and rebind the pre-compiled hook fast path.
 
-        ``observer.on_attach(self)`` runs first (wiring side-channels like
-        :attr:`trace`/:attr:`sanitizer`, and refusing a second trace sink
-        or sanitizer), then the engine binds the attached observers'
-        ``on_dispatch``/``event_chain`` hooks as the two callables the hot
-        loops consult.  At most one attached observer may define each
-        hook; a second raises :class:`SimulationError`.  An observer stays
-        attached for the simulator's lifetime.
+        All or nothing.  First the engine checks that at most one
+        observer, counting ``observer``, defines each of the
+        ``on_dispatch``/``event_chain`` hooks; a second raises
+        :class:`SimulationError`.  Then ``observer.on_attach(self)`` runs
+        (wiring side-channels like :attr:`trace`/:attr:`sanitizer`, and
+        refusing a second trace sink or sanitizer).  Only then is the
+        observer recorded and its hooks bound as the two callables the
+        hot loops consult, so a refused observer leaves the simulator as
+        it was.  An observer stays attached for the simulator's lifetime.
         """
+        observers = self._observers + [observer]
+        dispatch_hook = _single_hook(observers, "on_dispatch")
+        chain_hook = _single_hook(observers, "event_chain")
         on_attach = getattr(observer, "on_attach", None)
         if on_attach is not None:
             on_attach(self)
-        self._observers.append(observer)
-        self._rebind_hooks()
-
-    def _rebind_hooks(self) -> None:
-        self._dispatch_hook = self._single_hook("on_dispatch")
-        self._chain_hook = self._single_hook("event_chain")
-
-    def _single_hook(self, name: str) -> Optional[Callable[..., Any]]:
-        """The one attached observer's ``name`` hook, or None."""
-        hooks = [
-            hook
-            for hook in (getattr(o, name, None) for o in self._observers)
-            if hook is not None
-        ]
-        if len(hooks) > 1:
-            raise SimulationError(f"at most one attached observer may define {name}")
-        return hooks[0] if hooks else None
+        self._observers = observers
+        self._dispatch_hook = dispatch_hook
+        self._chain_hook = chain_hook
 
     # ------------------------------------------------------------------
     # scheduling

@@ -23,7 +23,8 @@ An observer provides any subset of:
     Called at schedule time to tag the new event with a causal chain.
 
 At most one attached observer may define each of the two hooks; attaching
-a second raises :class:`repro.errors.SimulationError`.
+a second raises :class:`repro.errors.SimulationError` before its
+``on_attach`` runs, and leaves the simulator as it was.
 
 Plain duck typing is accepted, but subclassing :class:`SimObserver` gets
 the ``None`` defaults right.

@@ -2,9 +2,9 @@
 
 Two flavours:
 
-* :class:`StatAccumulator` — streaming count/mean/min/max plus an optional
-  sample store for percentiles (all experiment sample counts are modest, so
-  full retention is fine).
+* :class:`StatAccumulator` — a list of scalar samples; count, total,
+  mean, extrema, stddev and percentiles are derived from it on read (all
+  experiment sample counts are modest, so full retention is fine).
 * :class:`Counter` — a simple named integer tally bag, used for perf-counter
   style accounting (instructions, misses, faults by kind).
 """
@@ -13,66 +13,76 @@ from __future__ import annotations
 
 import math
 from collections import defaultdict
-from typing import Dict, Iterable, List, Optional
+from typing import Dict, Iterable, List, Optional, Tuple
 
 
 class StatAccumulator:
-    """Accumulates scalar samples and reports summary statistics."""
+    """Accumulates scalar samples and reports summary statistics.
 
-    def __init__(self, name: str = "stat", keep_samples: bool = True):
+    Recording is one list append; every statistic is derived from the
+    samples when read.  ``total`` and ``total_sq`` are folded with ``+``
+    in sample order, so they carry the bits a running sum updated per
+    sample would (``sum()`` may not: from Python 3.12 it compensates).
+    """
+
+    def __init__(self, name: str = "stat"):
         self.name = name
-        self.keep_samples = keep_samples
-        self.count = 0
-        self.total = 0.0
-        self.total_sq = 0.0
-        self.min: Optional[float] = None
-        self.max: Optional[float] = None
         self.samples: List[float] = []
 
     def add(self, value: float) -> None:
-        value = float(value)
-        self.count += 1
-        self.total += value
-        self.total_sq += value * value
-        if self.min is None or value < self.min:
-            self.min = value
-        if self.max is None or value > self.max:
-            self.max = value
-        if self.keep_samples:
-            self.samples.append(value)
+        self.samples.append(value)
 
     def extend(self, values: Iterable[float]) -> None:
-        for value in values:
-            self.add(value)
+        self.samples.extend(values)
+
+    @property
+    def count(self) -> int:
+        return len(self.samples)
+
+    def _totals(self) -> Tuple[float, float]:
+        total = 0.0
+        total_sq = 0.0
+        for value in map(float, self.samples):
+            total += value
+            total_sq += value * value
+        return total, total_sq
+
+    @property
+    def total(self) -> float:
+        return self._totals()[0]
+
+    @property
+    def total_sq(self) -> float:
+        return self._totals()[1]
+
+    @property
+    def min(self) -> Optional[float]:
+        return float(min(self.samples)) if self.samples else None
+
+    @property
+    def max(self) -> Optional[float]:
+        return float(max(self.samples)) if self.samples else None
 
     @property
     def mean(self) -> float:
-        return self.total / self.count if self.count else 0.0
+        count = len(self.samples)
+        return self.total / count if count else 0.0
 
     @property
     def stddev(self) -> float:
-        if self.count < 2:
+        count = len(self.samples)
+        if count < 2:
             return 0.0
-        variance = (self.total_sq - self.total * self.total / self.count) / (self.count - 1)
+        total, total_sq = self._totals()
+        variance = (total_sq - total * total / count) / (count - 1)
         return math.sqrt(max(variance, 0.0))
 
     def percentile(self, p: float) -> float:
-        """Linear-interpolated percentile ``p`` in [0, 100].
-
-        Requires retained samples: an accumulator built with
-        ``keep_samples=False`` that has recorded data raises ``ValueError``
-        rather than silently answering ``0.0`` (the pre-fix behaviour, which
-        corrupted latency tables).  An accumulator with no samples *and* no
-        recorded data returns 0.0 — "nothing measured" is a legitimate zero.
-        """
+        """Linear-interpolated percentile ``p`` in [0, 100]; 0.0 when
+        nothing was recorded."""
         if not self.samples:
-            if self.count:
-                raise ValueError(
-                    f"{self.name}: percentile({p}) needs retained samples but "
-                    f"keep_samples=False discarded {self.count} of them"
-                )
             return 0.0
-        ordered = sorted(self.samples)
+        ordered = sorted(map(float, self.samples))
         if len(ordered) == 1:
             return ordered[0]
         rank = (p / 100.0) * (len(ordered) - 1)
@@ -81,27 +91,21 @@ class StatAccumulator:
         fraction = rank - low
         return ordered[low] * (1 - fraction) + ordered[high] * fraction
 
-    def summary(self) -> Dict[str, Optional[float]]:
+    def summary(self) -> Dict[str, float]:
         """Summary dict; ``min``/``max`` are 0.0 only when nothing was
-        recorded (an explicit ``is None`` check — a legitimate extremum of
-        0.0 or a negative value must survive).  ``p50``/``p99`` are present
-        whenever data was recorded: numeric when samples were retained,
-        ``None`` (explicit degradation, never a fake 0.0) when
-        ``keep_samples=False`` threw them away.
+        recorded (a legitimate extremum of 0.0 or a negative value
+        survives), and ``p50``/``p99`` are present whenever something was.
         """
-        result: Dict[str, Optional[float]] = {
+        result: Dict[str, float] = {
             "count": float(self.count),
             "mean": self.mean,
-            "min": self.min if self.min is not None else 0.0,
-            "max": self.max if self.max is not None else 0.0,
+            "min": self.min if self.samples else 0.0,
+            "max": self.max if self.samples else 0.0,
             "stddev": self.stddev,
         }
         if self.samples:
             result["p50"] = self.percentile(50)
             result["p99"] = self.percentile(99)
-        elif self.count:
-            result["p50"] = None
-            result["p99"] = None
         return result
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid

@@ -8,6 +8,12 @@ latency devices are tight) and inflates reads while writes are in flight —
 the read/write interference the paper invokes to explain YCSB's smaller
 gains (§VI-C: "workloads show higher read I/O latency than read-only
 workloads due to contention caused by writes in the SSD").
+
+Every NVMe command draws one lognormal multiplier.  The device's stream
+is its own, so the multipliers are drawn 512 at a time through
+:class:`repro.sim.rng.BatchedStream`: the same values in the same order
+as one scalar ``lognormal(0, sigma)`` call per command, without numpy's
+per-call overhead.
 """
 
 from __future__ import annotations
@@ -15,6 +21,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro.config import DeviceConfig
+from repro.sim.rng import BatchedStream
 
 
 class DeviceLatencyModel:
@@ -28,15 +35,19 @@ class DeviceLatencyModel:
         self._read_ns = config.read_latency_ns
         self._write_ns = config.write_latency_ns
         self._interference = config.write_interference
-        self._lognormal = rng.lognormal
+        sigma = self._sigma
+        # ``tolist()`` makes each multiplier a Python float, so the
+        # product below is plain float arithmetic.
+        self._multiplier = BatchedStream(
+            lambda n: rng.lognormal(0.0, sigma, n).tolist()
+        ).next
 
     def _sample(self, mean_ns: float) -> float:
-        sigma = self._sigma
-        if sigma <= 0:
+        if self._sigma <= 0:
             return mean_ns
         # Lognormal with median = mean_ns; at the small sigmas used the
         # distribution mean is within 0.1 % of mean_ns.
-        return float(mean_ns * self._lognormal(0.0, sigma))
+        return mean_ns * self._multiplier()
 
     def read_service_ns(self, write_occupancy: float = 0.0) -> float:
         """Service time of one 4 KB read.

@@ -26,7 +26,8 @@ from __future__ import annotations
 
 import enum
 import itertools
-from dataclasses import dataclass, field
+import sys
+from dataclasses import dataclass
 from typing import Any, Dict, Optional
 
 from repro.config import BLOCKS_PER_PAGE, DeviceConfig
@@ -82,9 +83,19 @@ class Namespace:
             raise StorageError(f"namespace {self.nsid}: LBA {lba} out of range")
 
 
-@dataclass
+#: ``dataclass(slots=True)`` needs Python 3.10; older interpreters build
+#: the same class without slots.
+_SLOTTED = {"slots": True} if sys.version_info >= (3, 10) else {}
+
+
+@dataclass(**_SLOTTED)
 class NVMeCommand:
-    """One 64-byte NVMe command (the subset the model needs)."""
+    """One 64-byte NVMe command (the subset the model needs).
+
+    Every device command builds one, so the class is slotted; the hot
+    consumers test :attr:`status` and :attr:`opcode` directly rather than
+    through the :attr:`ok`/:attr:`is_write` properties.
+    """
 
     opcode: NVMeOpcode
     nsid: int
@@ -174,6 +185,7 @@ class NVMeDevice:
         self._server = Server(sim, capacity=config.parallel_ops, name=f"{self.name}-srv")
         self._parallel_ops = float(config.parallel_ops)
         # Bound once: every command schedules these.
+        self._execute_cb = self._execute
         self._start_service_cb = self._start_service
         self._end_service_cb = self._end_service
         self._complete_late_cb = self._complete_late
@@ -192,7 +204,7 @@ class NVMeDevice:
         self.write_errors = 0
         self.timeouts = 0
         self.read_device_time = StatAccumulator("read-device-time")
-        self.write_device_time = StatAccumulator("write-device-time", keep_samples=False)
+        self.write_device_time = StatAccumulator("write-device-time")
 
     # ------------------------------------------------------------------
     # setup
@@ -245,7 +257,7 @@ class NVMeDevice:
                 nsid=command.nsid,
                 lba=command.lba,
             )
-        self.sim.schedule(0.0, self._execute, qp, command)
+        self.sim.schedule(0.0, self._execute_cb, qp, command)
 
     # repro: hot-path
     def _execute(self, qp: QueuePair, command: NVMeCommand) -> None:

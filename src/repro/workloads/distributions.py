@@ -35,15 +35,13 @@ import math
 import numpy as np
 
 from repro.errors import WorkloadError
+from repro.sim.rng import BatchedStream
 
 #: YCSB's default zipfian constant.
 ZIPFIAN_CONSTANT = 0.99
 #: FNV-1a 64-bit offset/prime, used by YCSB's scrambling hash.
 _FNV_OFFSET = 0xCBF29CE484222325
 _FNV_PRIME = 0x100000001B3
-
-#: Underlying samples drawn per buffered refill.
-_BATCH = 512
 
 #: Largest population for which ``ZipfianGenerator.draw`` builds its rank
 #: boundary table; bigger populations keep the scalar transform (an
@@ -84,50 +82,6 @@ def fnv1a_64_batch(values) -> np.ndarray:
         v = v >> eight
         result *= prime
     return result
-
-
-class BatchedStream:
-    """Buffered view of a vectorized sampler whose bit stream the caller
-    owns exclusively.
-
-    ``refill(n)`` must consume the underlying stream exactly like ``n``
-    scalar draws (true of ``Generator.random`` and ``Generator.integers``
-    with constant bounds), which makes ``next()``/``take(n)`` emit the
-    same values in the same order as the unbatched code path.
-    """
-
-    __slots__ = ("_refill", "_buf", "_pos")
-
-    def __init__(self, refill):
-        self._refill = refill
-        self._buf = None
-        self._pos = 0
-
-    def next(self):
-        buf = self._buf
-        pos = self._pos
-        if buf is None or pos >= buf.shape[0]:
-            buf = self._buf = self._refill(_BATCH)
-            pos = 0
-        self._pos = pos + 1
-        return buf[pos]
-
-    def take(self, n: int) -> np.ndarray:
-        """Consume the next ``n`` samples as an array (stream order)."""
-        buf = self._buf
-        pos = self._pos
-        have = 0 if buf is None else buf.shape[0] - pos
-        if have >= n:
-            if buf is None:  # n == 0 before the first refill
-                return self._refill(0)
-            out = buf[pos : pos + n]
-            self._pos = pos + n
-            return out
-        head = buf[pos:] if have else None
-        self._buf = None
-        self._pos = 0
-        tail = self._refill(n - have)
-        return tail if head is None else np.concatenate([head, tail])
 
 
 class UniformGenerator:

@@ -4,9 +4,10 @@ import numpy as np
 import pytest
 
 from repro.config import DeviceConfig
+from repro.errors import KernelError
 from repro.os.blockio import BlockIoStack
 from repro.sim import Simulator, spawn
-from repro.storage.nvme import NVMeDevice
+from repro.storage.nvme import NVMeCommand, NVMeDevice, NVMeOpcode
 
 
 def make_stack(read_ns=5_000.0, write_ns=6_000.0, parallel=2):
@@ -88,6 +89,28 @@ class TestBlockIo:
         assert stack.inflight == 2
         sim.run()
         assert stack.inflight == 0
+
+    def test_inflight_counts_writes_until_their_cq_entry(self):
+        # Writes return no completion, but the kernel's write throttle and
+        # the quiescence invariant both read them through ``inflight``.
+        sim, device, stack = make_stack(parallel=1)
+        assert stack.submit_write(nsid=1, lba=0) is None
+        stack.submit_write(nsid=1, lba=8)
+        stack.submit_read(nsid=1, lba=16)
+        assert stack.inflight == 3
+        sim.run(until=6_000.0)
+        assert stack.inflight == 2
+        sim.run()
+        assert stack.inflight == 0
+        assert device.writes_completed == 2
+
+    @pytest.mark.parametrize("opcode", [NVMeOpcode.READ, NVMeOpcode.WRITE])
+    def test_unknown_cid_raises(self, opcode):
+        sim, device, stack = make_stack()
+        stack.submit_write(nsid=1, lba=0)
+        with pytest.raises(KernelError, match="unknown cid 99"):
+            stack._interrupt_dispatcher(NVMeCommand(opcode, nsid=1, lba=0, cid=99))
+        assert stack.inflight == 1
 
     def test_two_stacks_on_one_device_are_isolated(self):
         sim, device, stack_a = make_stack()

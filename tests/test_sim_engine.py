@@ -3,6 +3,7 @@
 import pytest
 
 from repro.errors import SimulationError
+from repro.obs.trace import TraceSink
 from repro.sim import Simulator
 from repro.sim.observe import SimObserver
 
@@ -160,3 +161,24 @@ def test_second_dispatch_hook_rejected_at_attach():
     sim.attach(_DispatchProbe())
     with pytest.raises(SimulationError, match="on_dispatch"):
         sim.attach(_DispatchProbe())
+
+
+def test_rejected_observer_leaves_the_simulator_as_it_was():
+    sim = Simulator()
+    first = _DispatchProbe()
+    sim.attach(first)
+    attached = []
+
+    class _LateProbe(_DispatchProbe):
+        def on_attach(self, sim):
+            attached.append(self)
+
+    with pytest.raises(SimulationError, match="on_dispatch"):
+        sim.attach(_LateProbe())
+    assert attached == [], "a refused observer's on_attach must not run"
+    assert sim._observers == [first]
+    assert sim._dispatch_hook == first.on_dispatch
+    sink = TraceSink()
+    sim.attach(sink)
+    assert sim.trace is sink
+    assert sim._observers == [first, sink]

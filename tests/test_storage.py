@@ -55,6 +55,42 @@ class TestLatencyModel:
     def test_pmm_is_fastest_preset(self):
         assert OPTANE_PMM.read_latency_ns < ZSSD.read_latency_ns
 
+    @pytest.mark.parametrize("sigma", [0.03, 0.2])
+    def test_batched_draws_match_one_scalar_draw_per_command(self, sigma):
+        # The model draws its multipliers 512 at a time from the device's
+        # own stream; each service time must equal the scalar draw it
+        # replaces.  3,000 commands cross five buffer refills, and reads
+        # at several write occupancies interleave with writes.
+        config = DeviceConfig(name="d", read_latency_ns=10_900.0,
+                              write_latency_ns=12_500.0, latency_sigma=sigma,
+                              write_interference=0.6)
+        model = DeviceLatencyModel(config, np.random.default_rng(42))
+        reference = np.random.default_rng(42)
+        occupancies = [0.0, 0.25, 0.5, 1.0, 3.0]
+        for index in range(3_000):
+            if index % 3 == 2:
+                got = model.write_service_ns()
+                want = float(config.write_latency_ns * reference.lognormal(0.0, sigma))
+            else:
+                occupancy = occupancies[index % len(occupancies)]
+                got = model.read_service_ns(occupancy)
+                inflation = 1.0 + config.write_interference * min(1.0, occupancy)
+                want = float(config.read_latency_ns
+                             * reference.lognormal(0.0, sigma)) * inflation
+            assert type(got) is float
+            assert got == want, index
+
+    def test_zero_sigma_draws_nothing(self):
+        rng = np.random.default_rng(3)
+        before = rng.bit_generator.state
+        model = DeviceLatencyModel(
+            DeviceConfig(name="d", read_latency_ns=5000.0, write_latency_ns=7000.0,
+                         latency_sigma=0.0),
+            rng,
+        )
+        assert [model.read_service_ns(), model.write_service_ns()] == [5000.0, 7000.0]
+        assert rng.bit_generator.state == before
+
 
 class TestNVMeDevice:
     def test_read_completes_with_device_time(self):

@@ -1,7 +1,8 @@
 """Tests for the warm placement: cells forked from a shared warmup prefix.
 
 The synthetic spec's warmup context is a plain dict with no ``system``
-entry, so the leader takes no state digest and the tests stay fast.  Its
+entry, so the leader takes no state digest and the tests stay fast (one
+test adds a bare simulator as the ``system`` to see when it digests).  Its
 ``finish`` mutates the inherited context; the ``seen`` column proves each
 cell saw a pristine prefix (fork isolation) however it was placed.
 
@@ -10,13 +11,17 @@ the first attempt drops a sentinel and raises inside the warm fork, and
 the inline retry finds it and succeeds.
 """
 
+from types import SimpleNamespace
+
 import pytest
 
-from repro.experiments import registry
+from repro.experiments import engine, registry
+from repro.experiments.cache import CellCache
 from repro.experiments.engine import cell_key, execute, scale_to_dict
 from repro.experiments.journal import RunJournal, load_state
 from repro.experiments.registry import Cell, ExperimentSpec, WarmupSpec
 from repro.experiments.runner import QUICK, ExperimentResult
+from repro.sim import Simulator
 
 #: (group, x) per cell: two warm groups of three and two cells, plus a
 #: single-cell group that saves nothing warm and so runs inline.
@@ -50,16 +55,16 @@ def warm_spec():
     """Register a warmup-carrying spec around ``finish``, then unregister."""
     names = []
 
-    def factory(name, finish=_healthy_finish):
+    def factory(name, finish=_healthy_finish, prefix=_prefix):
         spec = ExperimentSpec(
             name=name,
             title=name,
             cells=lambda scale: [Cell.make(g=g, x=x) for g, x in GRID],
             cell_fn=lambda scale, params: finish(
-                scale, params, _prefix(scale, _group(params))
+                scale, params, prefix(scale, _group(params))
             ),
             merge=_merge,
-            warmup=WarmupSpec(group=_group, prefix=_prefix, finish=finish),
+            warmup=WarmupSpec(group=_group, prefix=prefix, finish=finish),
         )
         registry.register(spec)
         names.append(name)
@@ -166,3 +171,31 @@ def test_finish_always_raising_is_one_collected_failure(warm_spec):
     assert "broken cell" in failure.error
     assert report.computed == len(GRID) - 1
     assert report.incomplete == [spec.name]
+
+
+def _system_prefix(scale, group):
+    return dict(_prefix(scale, group), system=SimpleNamespace(sim=Simulator()))
+
+
+def test_prefix_digest_is_taken_only_for_a_cached_run(tmp_path, monkeypatch, warm_spec):
+    # Only a run with a cell cache records and checks the prefix digest,
+    # so without one the leader must not spend time computing it.
+    prefixes = []
+
+    def spy(*args, **kwargs):
+        records = real_fork_group(*args, **kwargs)
+        prefixes.extend(r for r in records if r.get("kind") == "prefix")
+        return records
+
+    real_fork_group = engine._fork_group
+    monkeypatch.setattr(engine, "_fork_group", spy)
+    spec = warm_spec("warm-digest", prefix=_system_prefix)
+
+    uncached = execute([spec], QUICK)
+    assert [("digest" in r) for r in prefixes] == [False, False]
+    prefixes.clear()
+    cached = execute([spec], QUICK, cache=CellCache(tmp_path / "cache"))
+    assert [("digest" in r) for r in prefixes] == [True, True]
+    assert all(r["events"] == 0 for r in prefixes)
+    assert cached.supervision["warm_cells"] == uncached.supervision["warm_cells"] == 5
+    assert cached.results[0].to_text() == uncached.results[0].to_text()
