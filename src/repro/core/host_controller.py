@@ -121,9 +121,7 @@ class SmuHostController:
         descriptor = self.descriptor(device_id)
         if claimed:
             descriptor.qp.reserved -= 1
-        command = NVMeCommand(
-            NVMeOpcode.READ, nsid=descriptor.nsid, lba=lba, cid=tag, dma_addr=dma_addr
-        )
+        command = NVMeCommand(NVMeOpcode.READ, descriptor.nsid, lba, tag, dma_addr)
         descriptor.device.submit(descriptor.qp, command)
         self.commands_issued += 1
         sink = self.sim.trace

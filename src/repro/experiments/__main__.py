@@ -32,10 +32,13 @@ Conventions:
 * ``--jobs N`` (N > 1), ``--timeout`` or ``--max-retries`` run cells on
   the supervised worker pool: a hung or crashed cell is killed, retried
   with backoff on a fresh worker, and fully journaled instead of aborting
-  the grid;
+  the grid.  ``--jobs`` sizes only that pool, whose workers run every
+  cell cold;
 * otherwise, experiments that declare shared-warmup structure simulate
   each warmup prefix **once** per group and fork their cells from the
-  live warmed-up process (disable with ``--no-warm-start`` — output is
+  live warmed-up process, one cell per CPU in the process's affinity mask
+  at a time (``taskset -c 0`` runs them one at a time;
+  ``--no-warm-start`` gives the serial cold grid — output is
   byte-identical either way), and every other cell runs inline;
 * ``--trace`` / ``--metrics`` / ``--sanitize`` run every cell inline so
   its simulator can be observed;
@@ -123,8 +126,9 @@ def _build_parser() -> argparse.ArgumentParser:
         type=int,
         default=None,
         metavar="N",
-        help="worker processes for cell fan-out (default: 1, serial; "
-        "with --resume defaults to the original run's setting)",
+        help="supervised worker processes (default: 1, no pool: warm-start "
+        "cells still run one per usable CPU; with --resume defaults to the "
+        "original run's setting)",
     )
     parser.add_argument(
         "--out",

@@ -7,7 +7,8 @@ one of three placements:
 * **inline** — in this process, under the caller's
   :class:`repro.obs.runtime.Observation` when there is one;
 * **warm fork** — forked from its warmup group's live warmed-up prefix
-  (specs declaring a :class:`~repro.experiments.registry.WarmupSpec`);
+  (specs declaring a :class:`~repro.experiments.registry.WarmupSpec`),
+  one cell per CPU in the process's affinity mask at a time;
 * **supervised worker** — a process of the supervised pool: per-cell
   wall-clock timeouts (scaled by the spec's ``cost_hint`` and the scale's
   ``timeout_scale``), bounded retry with exponential backoff on a fresh
@@ -441,7 +442,9 @@ def execute(
       WarmupSpec` group of two or more fork from the group's warmed-up
       prefix, simulated **once** per group — O(groups × warmup) instead of
       O(cells × warmup) — and the prefix's state digest is recorded as a
-      cache artifact and verified against prior runs.
+      cache artifact and verified against prior runs.  Groups run one
+      after another; inside a group, one cell per usable CPU simulates at
+      a time.
 
     ``cells_override`` replaces the cell grid — only valid when running a
     single spec.  ``skip_failed`` maps ``(experiment, cell key)`` to a
@@ -659,6 +662,22 @@ def _fork_group(
     return records
 
 
+def _warm_width() -> int:
+    """How many warm cells a group leader keeps simulating at once.
+
+    One per CPU this process may run on: its affinity mask, which
+    ``taskset`` narrows.  Cgroup CPU quotas are not consulted.
+    """
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity call on this platform
+        return os.cpu_count() or 1
+
+
+def _cell_failure(index: int, error: str) -> str:
+    return json.dumps({"kind": "cell", "index": index, "ok": False, "error": error})
+
+
 def _warm_leader(
     write_fd: int,
     scale: ExperimentScale,
@@ -669,15 +688,25 @@ def _warm_leader(
     """Group leader (runs in a forked child; never returns).
 
     Simulates the shared warmup prefix once, reports it (with its state
-    digest when ``digest`` is set), then forks one grandchild per cell:
-    the grandchild diverges via ``spec.warmup.finish`` over the inherited
-    live context and ships its canonical payload back up.  Grandchildren
-    run strictly one at a time (fork → drain pipe → waitpid) so their
-    simulations never interleave and the leader's memory image stays
-    pristine between forks.
+    digest when ``digest`` is set), then forks one grandchild per cell
+    (:func:`_fork_warm_cell`), keeping up to :func:`_warm_width` of them
+    simulating at once.  The leader itself only forks and reads their
+    pipes, so its memory image stays the pristine prefix every cell forks
+    from.  It reaps each grandchild when its pipe reaches EOF and passes
+    the records up in slot order, so nothing the parent sees depends on
+    which cell finishes first.  A cell whose fork fails reports a failure
+    of its own; a leader that fails kills and reaps its in-flight
+    grandchildren before it exits.
     """
+    # Imported here: only a leader needs them, and the registry import
+    # every run pays stays as it is.
+    import selectors
+    import signal
+
     stream = os.fdopen(write_fd, "w")
     warmup = slots[0].spec.warmup
+    # read fd -> (cell index, grandchild pid, bytes read so far)
+    running: Dict[int, Tuple[int, int, List[bytes]]] = {}
 
     def _emit(record: Dict[str, Any]) -> None:
         stream.write(json.dumps(record) + "\n")
@@ -696,53 +725,98 @@ def _warm_leader(
 
             prefix_record.update(snapshot_system(system))
         _emit(prefix_record)
-        for index, slot in enumerate(slots):
-            read_fd, child_fd = os.pipe()
-            pid = os.fork()
-            if pid == 0:
-                os.close(read_fd)
-                child_out = os.fdopen(child_fd, "w")
-                status = 0
-                try:
-                    started = time.perf_counter()  # repro: allow[REP001] reason=host-side cell timing for the journal, never feeds the simulation
-                    payload = _canonical(warmup.finish(scale, slot.cell.as_dict(), ctx))
-                    wall_s = time.perf_counter() - started  # repro: allow[REP001] reason=host-side cell timing, never feeds the simulation
-                    record = {"kind": "cell", "index": index, "ok": True,
-                              "payload": payload, "wall_s": wall_s}
-                    child_out.write(json.dumps(record) + "\n")
-                    child_out.flush()
-                except BaseException as exc:  # noqa: BLE001 — child must report, not unwind
+
+        width = _warm_width()
+        lines: Dict[int, str] = {}
+        forked = reported = 0
+        with selectors.DefaultSelector() as selector:
+            while reported < len(slots):
+                while forked < len(slots) and len(running) < width:
+                    index, forked = forked, forked + 1
                     try:
-                        record = {"kind": "cell", "index": index, "ok": False,
-                                  "error": _error_text(exc)}
-                        child_out.write(json.dumps(record) + "\n")
-                        child_out.flush()
-                    except BaseException:  # noqa: BLE001
-                        status = 1
-                finally:
-                    os._exit(status)
-            os.close(child_fd)
-            # Drain before waitpid: a payload larger than the pipe buffer
-            # would otherwise deadlock the grandchild's final write.
-            with os.fdopen(read_fd, "r") as child_in:
-                text = child_in.read()
-            os.waitpid(pid, 0)
-            line = text.strip().splitlines()
-            if line:
-                stream.write(line[-1] + "\n")
+                        read_fd, pid = _fork_warm_cell(scale, index, slots[index], ctx)
+                    except OSError as exc:
+                        lines[index] = _cell_failure(index, f"warm cell fork failed: {exc}")
+                        continue
+                    running[read_fd] = (index, pid, [])
+                    selector.register(read_fd, selectors.EVENT_READ)
+                for key, _ in selector.select() if running else ():
+                    # Drain every pipe as it fills: a payload larger than
+                    # the pipe buffer would otherwise block its writer.
+                    chunk = os.read(key.fd, 1 << 16)
+                    index, pid, chunks = running[key.fd]
+                    if chunk:
+                        chunks.append(chunk)
+                        continue
+                    selector.unregister(key.fd)
+                    os.close(key.fd)
+                    os.waitpid(pid, 0)
+                    del running[key.fd]
+                    text = b"".join(chunks).decode().strip().splitlines()
+                    lines[index] = text[-1] if text else _cell_failure(
+                        index, "warm cell worker died before reporting")
+                while reported in lines:
+                    stream.write(lines.pop(reported) + "\n")
+                    reported += 1
                 stream.flush()
-            else:
-                _emit({"kind": "cell", "index": index, "ok": False,
-                       "error": "warm cell worker died before reporting"})
         _emit({"kind": "end"})
     except BaseException:  # noqa: BLE001 — parent treats EOF as group failure
         pass
     finally:
+        # A grandchild holds the parent's pipe open, so one left running
+        # would keep the parent waiting for EOF until it finished.
+        for _, pid, _ in running.values():
+            try:
+                os.kill(pid, signal.SIGKILL)
+                os.waitpid(pid, 0)
+            except OSError:
+                pass
         try:
             stream.flush()
         except OSError:
             pass
         os._exit(0)
+
+
+def _fork_warm_cell(
+    scale: ExperimentScale, index: int, slot: _Slot, ctx: Any
+) -> Tuple[int, int]:
+    """Fork the grandchild that runs one warm cell; return its pipe's read
+    end and its pid.
+
+    The grandchild diverges via ``spec.warmup.finish`` over the inherited
+    live context, writes one record line and exits.  A pipe or fork that
+    fails raises ``OSError`` and leaves no descriptor open.
+    """
+    read_fd, write_fd = os.pipe()
+    try:
+        pid = os.fork()
+    except OSError:
+        os.close(read_fd)
+        os.close(write_fd)
+        raise
+    if pid:
+        os.close(write_fd)
+        return read_fd, pid
+    os.close(read_fd)
+    out = os.fdopen(write_fd, "w")
+    status = 0
+    try:
+        started = time.perf_counter()  # repro: allow[REP001] reason=host-side cell timing for the journal, never feeds the simulation
+        payload = _canonical(slot.spec.warmup.finish(scale, slot.cell.as_dict(), ctx))
+        wall_s = time.perf_counter() - started  # repro: allow[REP001] reason=host-side cell timing, never feeds the simulation
+        record = {"kind": "cell", "index": index, "ok": True,
+                  "payload": payload, "wall_s": wall_s}
+        out.write(json.dumps(record) + "\n")
+        out.flush()
+    except BaseException as exc:  # noqa: BLE001 — child must report, not unwind
+        try:
+            out.write(_cell_failure(index, _error_text(exc)) + "\n")
+            out.flush()
+        except BaseException:  # noqa: BLE001
+            status = 1
+    finally:
+        os._exit(status)
 
 
 def _verify_prefix_artifact(

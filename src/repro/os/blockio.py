@@ -89,7 +89,7 @@ class BlockIoStack:
         self._inflight[cid] = completion
         self.device.submit(
             self.qp,
-            NVMeCommand(opcode, nsid, lba, cid=cid, dma_addr=dma_addr, context=context),
+            NVMeCommand(opcode, nsid, lba, cid, dma_addr, context),
         )
 
     # ------------------------------------------------------------------

@@ -712,7 +712,7 @@ class Kernel:
             # Bounded write buffer: wait for the oldest write to land.
             yield from thread.stall(self.config.device.write_latency_ns / 4)
         lba = file.lba_of_page(page_index % file.num_pages)
-        self.blockio.submit_write(file.nsid, lba, context=file)
+        self.blockio.submit_write(file.nsid, lba, 0, file)
         self.counters.add("write.submitted")
 
     # ==================================================================

@@ -9,8 +9,16 @@ cell saw a pristine prefix (fork isolation) however it was placed.
 Fault injection is sentinel-file based, as in ``test_supervision.py``:
 the first attempt drops a sentinel and raises inside the warm fork, and
 the inline retry finds it and succeeds.
+
+A leader keeps ``engine._warm_width()`` cells simulating at once; the
+window tests patch that helper to choose the width.
 """
 
+import contextlib
+import errno
+import os
+import signal
+import time
 from types import SimpleNamespace
 
 import pytest
@@ -55,11 +63,11 @@ def warm_spec():
     """Register a warmup-carrying spec around ``finish``, then unregister."""
     names = []
 
-    def factory(name, finish=_healthy_finish, prefix=_prefix):
+    def factory(name, finish=_healthy_finish, prefix=_prefix, grid=GRID):
         spec = ExperimentSpec(
             name=name,
             title=name,
-            cells=lambda scale: [Cell.make(g=g, x=x) for g, x in GRID],
+            cells=lambda scale: [Cell.make(g=g, x=x) for g, x in grid],
             cell_fn=lambda scale, params: finish(
                 scale, params, prefix(scale, _group(params))
             ),
@@ -199,3 +207,216 @@ def test_prefix_digest_is_taken_only_for_a_cached_run(tmp_path, monkeypatch, war
     assert all(r["events"] == 0 for r in prefixes)
     assert cached.supervision["warm_cells"] == uncached.supervision["warm_cells"] == 5
     assert cached.results[0].to_text() == uncached.results[0].to_text()
+
+
+# ----------------------------------------------------------------------
+# the window: up to W cells of a group simulating at once
+# ----------------------------------------------------------------------
+#: Four warm groups of ten cells.
+WIDE = [(x // 10, x) for x in range(40)]
+
+
+def _width(monkeypatch, width):
+    monkeypatch.setattr(engine, "_warm_width", lambda: width)
+
+
+@contextlib.contextmanager
+def _deadline(seconds):
+    """Fail, rather than hang, a run that does not finish in time."""
+
+    def expire(signum, frame):
+        raise TimeoutError(f"warm run still going after {seconds} s")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.alarm(seconds)
+    try:
+        yield
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
+
+
+def _open_fds():
+    return len(os.listdir("/proc/self/fd"))
+
+
+def _assert_no_children():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def _transitions(tmp_path, run_id, spec):
+    return {x: _record(tmp_path, run_id, spec, x).transitions for _, x in GRID}
+
+
+def _assert_retried_alone(tmp_path, run_id, spec, report, error):
+    """Cell x=1 failed warm and was retried inline; the rest ran warm once."""
+    assert report.failures == []
+    assert report.supervision["warm_cells"] == 4
+    assert report.results[0].column("y") == [100 * g + x for g, x in GRID]
+    assert report.results[0].column("seen") == [1] * len(GRID)
+    transitions = _transitions(tmp_path, run_id, spec)
+    assert transitions.pop(1) == [
+        ("dispatched", 1), ("failed", 1), ("dispatched", 2), ("done", 2),
+    ]
+    assert all(t == [("dispatched", 1), ("done", 1)] for t in transitions.values())
+    [failed] = [
+        r for r in load_state(tmp_path / run_id).records
+        if r["t"] == "cell" and r["state"] == "failed"
+    ]
+    assert failed["worker"] == "warm-g1" and failed["final"] is False
+    assert error in failed["error"]
+
+
+def test_later_cells_finishing_first_change_nothing(tmp_path, monkeypatch, warm_spec):
+    ends = tmp_path / "ends"
+    test_pid = os.getpid()
+
+    def reversed_finish(scale, params, ctx):
+        # Lower x sleeps longer, so inside a window later cells end first.
+        if os.getpid() != test_pid:
+            time.sleep(0.03 * (len(GRID) - params["x"]))
+        with open(ends, "a") as log:
+            log.write(f"{params['x']}\n")
+        return _healthy_finish(scale, params, ctx)
+
+    spec = warm_spec("warm-reverse", reversed_finish)
+
+    def run(run_id, width, warm_start=True):
+        _width(monkeypatch, width)
+        ends.write_text("")
+        journal = _journal(tmp_path, spec, run_id)
+        report = execute([spec], QUICK, journal=journal, warm_start=warm_start)
+        journal.close()
+        order = [int(x) for x in ends.read_text().split()]
+        return report.results[0], _transitions(tmp_path, run_id, spec), order
+
+    cold, cold_transitions, _ = run("cold", 1, warm_start=False)
+    serial, serial_transitions, serial_order = run("w1", 1)
+    assert serial_order == [x for _, x in GRID]
+    for attempt in range(5):
+        result, transitions, order = run(f"w3-{attempt}", 3)
+        assert order.index(2) < order.index(0), "cells of a group overlap"
+        assert result.to_text() == serial.to_text() == cold.to_text()
+        assert result.rows == serial.rows == cold.rows
+        assert transitions == serial_transitions == cold_transitions
+
+
+def test_killed_cell_is_retried_inline_while_its_siblings_finish_warm(
+    tmp_path, monkeypatch, warm_spec
+):
+    sentinel = tmp_path / "killed-once"
+    test_pid = os.getpid()
+
+    def killed_once(scale, params, ctx):
+        if params["x"] == 1 and not sentinel.exists():
+            assert os.getpid() != test_pid, "the first attempt runs in a warm fork"
+            sentinel.write_text("")
+            os.kill(os.getpid(), signal.SIGKILL)
+        time.sleep(0.1)  # the siblings are still running when x=1 dies
+        return _healthy_finish(scale, params, ctx)
+
+    _width(monkeypatch, 3)
+    spec = warm_spec("warm-killed", killed_once)
+    journal = _journal(tmp_path, spec, "killed")
+    report = execute([spec], QUICK, journal=journal)
+    journal.close()
+    _assert_retried_alone(tmp_path, "killed", spec, report, "died before reporting")
+
+
+def test_refused_fork_fails_only_its_cell(tmp_path, monkeypatch, warm_spec):
+    sentinel = tmp_path / "refused-once"
+    test_pid = os.getpid()
+    real_fork = os.fork
+    leader_forks = []
+
+    def refuse_second_cell():
+        # Inside a leader, refuse the fork of its second cell, once.
+        if os.getpid() != test_pid and not sentinel.exists():
+            leader_forks.append(None)
+            if len(leader_forks) == 2:
+                sentinel.write_text("")
+                raise BlockingIOError(errno.EAGAIN, "fork refused")
+        return real_fork()
+
+    _width(monkeypatch, 3)
+    monkeypatch.setattr(os, "fork", refuse_second_cell)
+    spec = warm_spec("warm-refused")
+    journal = _journal(tmp_path, spec, "refused")
+    report = execute([spec], QUICK, journal=journal)
+    journal.close()
+    _assert_retried_alone(tmp_path, "refused", spec, report, "fork refused")
+
+
+def test_failing_leader_kills_and_reaps_its_running_cells(tmp_path, monkeypatch, warm_spec):
+    grandchild = tmp_path / "grandchild"
+    test_pid = os.getpid()
+    real_fork = os.fork
+
+    def slow_when_forked(scale, params, ctx):
+        if os.getpid() != test_pid:
+            time.sleep(120)
+        return _healthy_finish(scale, params, ctx)
+
+    def fault_after_first_cell():
+        # A leader's first cell forks and leaves its pid behind; every
+        # later fork in a leader fails with an error it does not expect.
+        if os.getpid() == test_pid:
+            return real_fork()
+        if grandchild.exists():
+            raise RuntimeError("injected leader fault")
+        pid = real_fork()
+        if pid:
+            grandchild.write_text(str(pid))
+        return pid
+
+    _width(monkeypatch, 3)
+    monkeypatch.setattr(os, "fork", fault_after_first_cell)
+    spec = warm_spec("warm-leader-fault", slow_when_forked)
+    # The sleeping cell holds the parent's pipe open, so only a leader
+    # that kills it lets the run end before the deadline.
+    with _deadline(60):
+        report = execute([spec], QUICK)
+    assert report.failures == []
+    assert report.supervision.get("warm_cells", 0) == 0
+    assert report.results[0].column("y") == [100 * g + x for g, x in GRID]
+    with pytest.raises(ProcessLookupError):
+        os.kill(int(grandchild.read_text()), 0)
+
+
+def test_payload_larger_than_the_pipe_buffer(monkeypatch, warm_spec):
+    blob = 256 << 10
+
+    def large(scale, params, ctx):
+        return dict(_healthy_finish(scale, params, ctx), blob="b" * blob)
+
+    _width(monkeypatch, 3)
+    spec = warm_spec("warm-large", large)
+    fds = _open_fds()
+    with _deadline(60):
+        report = execute([spec], QUICK)
+    _assert_no_children()
+    assert _open_fds() == fds
+    assert report.supervision["warm_cells"] == 5
+    assert [len(row["blob"]) for row in report.results[0].rows] == [blob] * len(GRID)
+
+
+def test_more_cells_at_once_than_cores(monkeypatch, warm_spec):
+    test_pid = os.getpid()
+
+    def briefly(scale, params, ctx):
+        if os.getpid() != test_pid:
+            time.sleep(0.02)  # long enough for the window to fill
+        return _healthy_finish(scale, params, ctx)
+
+    _width(monkeypatch, 8)
+    spec = warm_spec("warm-wide", briefly, grid=WIDE)
+    fds = _open_fds()
+    with _deadline(60):
+        warm = execute([spec], QUICK)
+    _assert_no_children()
+    assert _open_fds() == fds
+    assert warm.supervision["warm_cells"] == len(WIDE)
+    assert warm.results[0].column("seen") == [1] * len(WIDE), "forks isolate cells"
+    cold = execute([spec], QUICK, warm_start=False)
+    assert warm.results[0].to_text() == cold.results[0].to_text()
