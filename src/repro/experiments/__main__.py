@@ -36,10 +36,11 @@ Conventions:
   cell cold;
 * otherwise, experiments that declare shared-warmup structure simulate
   each warmup prefix **once** per group and fork their cells from the
-  live warmed-up process, one cell per CPU in the process's affinity mask
-  at a time (``taskset -c 0`` runs them one at a time;
-  ``--no-warm-start`` gives the serial cold grid — output is
-  byte-identical either way), and every other cell runs inline;
+  live warmed-up process, keeping one prefix or cell per CPU in the
+  process's affinity mask simulating across all groups (``taskset -c 0``
+  runs them one at a time; ``--no-warm-start`` gives the serial cold
+  grid — output is byte-identical either way), and every other cell runs
+  inline;
 * ``--trace`` / ``--metrics`` / ``--sanitize`` run every cell inline so
   its simulator can be observed;
 * ``--cache-prune [MB]`` bounds ``benchmarks/.cache/`` (LRU) and
@@ -47,7 +48,8 @@ Conventions:
   ``$REPRO_CACHE_MAX_MB`` / ``$REPRO_RUNS_MAX_MB`` set, every run prunes
   automatically on exit;
 * SIGINT/SIGTERM drain in-flight cells, journal a ``suspended`` record,
-  and exit 3 (a second signal aborts immediately);
+  and exit 3 (a second signal aborts immediately); only this process
+  answers them, and forked warm processes ignore both;
 * exit code 0 = success, 1 = an experiment failed, 2 = usage error
   (including a refused resume), 3 = suspended and resumable.
 
@@ -127,8 +129,8 @@ def _build_parser() -> argparse.ArgumentParser:
         default=None,
         metavar="N",
         help="supervised worker processes (default: 1, no pool: warm-start "
-        "cells still run one per usable CPU; with --resume defaults to the "
-        "original run's setting)",
+        "prefixes and cells still run one per usable CPU across all groups; "
+        "with --resume defaults to the original run's setting)",
     )
     parser.add_argument(
         "--out",

@@ -8,7 +8,8 @@ one of three placements:
   :class:`repro.obs.runtime.Observation` when there is one;
 * **warm fork** — forked from its warmup group's live warmed-up prefix
   (specs declaring a :class:`~repro.experiments.registry.WarmupSpec`),
-  one cell per CPU in the process's affinity mask at a time;
+  with one prefix or cell per CPU in the process's affinity mask
+  simulating at a time across all groups;
 * **supervised worker** — a process of the supervised pool: per-cell
   wall-clock timeouts (scaled by the spec's ``cost_hint`` and the scale's
   ``timeout_scale``), bounded retry with exponential backoff on a fresh
@@ -47,7 +48,9 @@ Failing cells never abort the grid: each is collected into
 per attempt (dispatched/done/failed/timeout), making the run crash-safe and
 resumable; ``should_stop`` is polled between dispatches and, once true,
 stops dispatching, drains in-flight cells, and returns with
-``report.interrupted`` set (the CLI's clean-SIGINT path).
+``report.interrupted`` set (the CLI's clean-SIGINT path).  Under the warm
+placement it is polled before each group starts, and a started group
+finishes warm.
 """
 
 from __future__ import annotations
@@ -442,9 +445,10 @@ def execute(
       WarmupSpec` group of two or more fork from the group's warmed-up
       prefix, simulated **once** per group — O(groups × warmup) instead of
       O(cells × warmup) — and the prefix's state digest is recorded as a
-      cache artifact and verified against prior runs.  Groups run one
-      after another; inside a group, one cell per usable CPU simulates at
-      a time.
+      cache artifact and verified against prior runs.  One budget of a
+      unit per usable CPU spans all groups, a unit being a prefix or a
+      cell simulating, so the next group's prefix runs beside the last
+      cells of the groups before it.
 
     ``cells_override`` replaces the cell grid — only valid when running a
     single spec.  ``skip_failed`` maps ``(experiment, cell key)`` to a
@@ -553,13 +557,32 @@ def _run_warm(run: _Run, pending: Sequence[_Slot]) -> List[_Slot]:
     """Fork every warmup group of two or more cells from its live prefix.
 
     Cells are grouped by warmup-prefix params within their spec; each
-    group runs through a forked leader that simulates the prefix once.
+    group runs through a forked leader (:func:`_start_leader`) that
+    simulates the prefix once and forks one process per cell from it.
+    This process owns the CPU budget: it keeps up to W =
+    :func:`_warm_width` *units* simulating across all groups, a unit
+    being a leader running its prefix or a cell it granted, and reads
+    every live leader's record pipe through one selector.  A freed unit
+    goes to the next cell of the earliest started group that still has
+    one; while that group is in its prefix, the unit starts the next
+    group's leader instead, or waits when every group has started.  So
+    cells are granted in group order whichever prefix ends first.  A
+    unit is freed by each record a leader sends (its prefix, or a
+    cell's) and, for whatever the leader still held, when its pipe
+    reaches EOF.  A finished group is settled in slot order, so no
+    record, payload or per-cell journal transition depends on which
+    unit finishes first.
+
     Returns, in declaration order, what still needs the inline runner:
     cells without a group to share, cells whose warm attempt failed (each
     journaled as a non-final failure, so the inline rerun is its next
     attempt), and groups a stop request left unstarted.  Warm start can
     therefore only save time, never lose results.
     """
+    # Imported here: only a warm run needs it, and the registry import
+    # every run pays stays as it is.
+    import selectors
+
     groups: Dict[Tuple[int, str], Tuple[Params, List[_Slot]]] = {}
     leftover: List[_Slot] = []
     for slot in pending:
@@ -570,100 +593,248 @@ def _run_warm(run: _Run, pending: Sequence[_Slot]) -> List[_Slot]:
         params = _canonical(warmup.group(slot.cell.as_dict()))
         group_id = (slot.order[0], json.dumps(params, sort_keys=True))
         groups.setdefault(group_id, (params, []))[1].append(slot)
-    warm: List[Tuple[Params, List[_Slot]]] = []
+    unstarted: deque = deque()
     for group_id in sorted(groups):
         params, slots = groups[group_id]
         # A prefix shared by one cell saves nothing; run it inline.
         if len(slots) > 1:
-            warm.append((params, slots))
+            unstarted.append((f"warm-g{len(unstarted) + 1}", params, slots))
         else:
             leftover.extend(slots)
 
-    for serial, (params, slots) in enumerate(warm, start=1):
-        if run.stopping():
-            leftover.extend(slot for _, rest in warm[serial - 1:] for slot in rest)
-            break
-        worker = f"warm-g{serial}"
-        for slot in slots:
-            run.dispatch(slot, worker)
-        records = _fork_group(run.scale, params, slots, digest=run.cache is not None)
-        if records is None:
-            for slot in slots:
-                run.fail(slot, "worker-died", "warm group leader could not fork",
-                         worker, final=False)
-            leftover.extend(slots)
-            continue
-        run.tally("warm_groups")
-        spec = slots[0].spec
-        got: Dict[int, Dict[str, Any]] = {}
-        for record in records:
-            kind = record.get("kind")
-            if kind == "prefix" and "digest" in record:
-                _verify_prefix_artifact(run, spec, params, record)
-            elif kind == "prefix-error":
-                if run.journal is not None:
-                    run.journal.note(
-                        "warm_prefix_failed",
-                        experiment=spec.name,
-                        key=warm_prefix_key(spec, run.scale, params),
-                        error=record.get("error", "?"),
-                    )
-            elif kind == "cell":
-                got[int(record.get("index", -1))] = record
-        for index, slot in enumerate(slots):
-            record = got.get(index)
-            if record is not None and record.get("ok"):
-                run.tally("warm_cells")
-                run.finish(slot, record["payload"], float(record.get("wall_s", 0.0)), worker)
-            elif record is not None:
-                run.fail(slot, "exception", record.get("error", "?"), worker, final=False)
-                leftover.append(slot)
-            else:
-                run.fail(slot, "worker-died", "warm group leader died before reporting",
-                         worker, final=False)
-                leftover.append(slot)
+    free = _warm_width()
+    live: List[_Leader] = []  # in start order
+    with selectors.DefaultSelector() as selector:
+        try:
+            while True:
+                while free:
+                    head = next((leader for leader in live if leader.wants_cells()), None)
+                    if head is not None and head.prefixed:
+                        free -= head.grant()
+                        continue
+                    if not unstarted or run.stopping():
+                        break
+                    worker, params, slots = unstarted.popleft()
+                    for slot in slots:
+                        run.dispatch(slot, worker)
+                    leader = _start_leader(run, worker, params, slots, live)
+                    if leader is None:
+                        for slot in slots:
+                            run.fail(slot, "worker-died", "warm group leader could not fork",
+                                     worker, final=False)
+                        leftover.extend(slots)
+                        continue
+                    live.append(leader)
+                    selector.register(leader.fd, selectors.EVENT_READ, leader)
+                    free -= 1
+                if not live:
+                    break
+                for key, _ in selector.select():
+                    leader = key.data
+                    chunk = os.read(leader.fd, 1 << 16)
+                    if chunk:
+                        free += leader.take(chunk)
+                        continue
+                    selector.unregister(leader.fd)
+                    live.remove(leader)
+                    free += leader.held
+                    leader.close()
+                    leftover.extend(_settle_group(run, leader))
+        except BaseException:
+            # A second stop signal, or any fault here: no leader may
+            # outlive this call.
+            for leader in live:
+                leader.abort()
+            raise
+    leftover.extend(slot for _, _, slots in unstarted for slot in slots)
     return _in_order(leftover)
 
 
-def _fork_group(
-    scale: ExperimentScale,
+class _Leader:
+    """A started warm group, as the parent sees its leader process."""
+
+    __slots__ = ("worker", "params", "slots", "pid", "fd", "control",
+                 "prefixed", "granted", "held", "buffer", "records")
+
+    def __init__(self, worker: str, params: Params, slots: Sequence[_Slot],
+                 pid: int, fd: int, control: int):
+        self.worker = worker
+        self.params = params
+        self.slots = slots
+        self.pid = pid
+        #: Read end of the leader's record pipe.
+        self.fd = fd
+        #: Write end of its control pipe, ``None`` once closed: each byte
+        #: lets the leader fork one more cell, and EOF tells it to stop.
+        self.control: Optional[int] = control
+        #: Whether its prefix has been reported; only then can it fork.
+        self.prefixed = False
+        self.granted = 0
+        #: Units it holds: its prefix until reported, then every granted
+        #: cell until reported.
+        self.held = 1
+        self.buffer = b""
+        self.records: List[Dict[str, Any]] = []
+
+    def wants_cells(self) -> bool:
+        return self.control is not None and self.granted < len(self.slots)
+
+    def grant(self) -> int:
+        """Let the leader fork its next cell; return the units it took."""
+        try:
+            os.write(self.control, b"\x01")
+        except OSError:  # the leader is gone; its EOF settles the group
+            self.close_control()
+            return 0
+        self.granted += 1
+        self.held += 1
+        return 1
+
+    def take(self, chunk: bytes) -> int:
+        """Buffer ``chunk``; return the units its complete records free.
+
+        Every line is one record: the prefix's, then one per granted cell.
+        """
+        *lines, self.buffer = (self.buffer + chunk).split(b"\n")
+        for line in lines:
+            self.held -= 1
+            try:
+                record = json.loads(line)
+            except ValueError:
+                continue
+            self.records.append(record)
+            kind = record.get("kind")
+            if kind == "prefix":
+                self.prefixed = True
+            elif kind == "prefix-error":
+                self.close_control()
+        return len(lines)
+
+    def close_control(self) -> None:
+        if self.control is not None:
+            os.close(self.control)
+            self.control = None
+
+    def close(self) -> None:
+        """Close this end of both pipes and reap the leader."""
+        self.close_control()
+        os.close(self.fd)
+        os.waitpid(self.pid, 0)
+
+    def abort(self) -> None:
+        """End the leader now: EOF on its control pipe makes it kill its
+        cells and exit; one still in its prefix has none and is killed."""
+        import signal
+
+        if not self.prefixed:
+            try:
+                os.kill(self.pid, signal.SIGKILL)
+            except OSError:
+                pass
+        try:
+            self.close()
+        except OSError:
+            pass
+
+
+def _start_leader(
+    run: _Run,
+    worker: str,
     group_params: Params,
     slots: Sequence[_Slot],
-    digest: bool,
-) -> Optional[List[Dict[str, Any]]]:
-    """Run one warm group in a forked leader; return its reported records.
+    live: Sequence[_Leader],
+) -> Optional[_Leader]:
+    """Fork the leader of one warm group; ``None`` when it could not be.
 
-    ``digest`` asks the leader to digest the prefix state (only a run
-    with a cell cache records and checks it).  ``None`` when the leader
-    could not be forked.
+    The leader ignores SIGINT and SIGTERM, so only this process answers a
+    stop request (the signals stay blocked across the fork, so none lands
+    before the leader ignores it), and it closes this end of every other
+    live leader's pipes: a control pipe held open elsewhere would never
+    reach EOF when this process dies.  It digests the prefix state only
+    for a run with a cell cache, the only kind that records it.
     """
+    import signal
+
     try:
         read_fd, write_fd = os.pipe()
     except OSError:
         return None
     try:
-        pid = os.fork()
+        control_read, control_write = os.pipe()
     except OSError:
         os.close(read_fd)
         os.close(write_fd)
         return None
+    stops = {signal.SIGINT, signal.SIGTERM}
+    pid = -1
+    mask = signal.pthread_sigmask(signal.SIG_BLOCK, stops)
+    try:
+        pid = os.fork()
+    except OSError:
+        pass
+    finally:
+        if pid != 0:
+            signal.pthread_sigmask(signal.SIG_SETMASK, mask)
     if pid == 0:
-        os.close(read_fd)
-        _warm_leader(write_fd, scale, group_params, slots, digest)  # never returns
+        try:
+            for signum in stops:
+                signal.signal(signum, signal.SIG_IGN)
+            signal.pthread_sigmask(signal.SIG_SETMASK, mask)
+            for fd in [read_fd, control_write, *(leader.fd for leader in live),
+                       *(leader.control for leader in live if leader.control is not None)]:
+                os.close(fd)
+            _warm_leader(write_fd, control_read, run.scale, group_params, slots,
+                         run.cache is not None)
+        finally:
+            os._exit(1)  # never unwind into the parent's stack
     os.close(write_fd)
-    records: List[Dict[str, Any]] = []
-    with os.fdopen(read_fd, "r") as stream:
-        for line in stream:
-            try:
-                records.append(json.loads(line))
-            except ValueError:
-                continue
-    os.waitpid(pid, 0)
-    return records
+    os.close(control_read)
+    if pid < 0:
+        os.close(read_fd)
+        os.close(control_write)
+        return None
+    return _Leader(worker, group_params, slots, pid, read_fd, control_write)
+
+
+def _settle_group(run: _Run, leader: _Leader) -> List[_Slot]:
+    """Settle a finished group in slot order; return the cells to retry
+    inline."""
+    run.tally("warm_groups")
+    spec = leader.slots[0].spec
+    got: Dict[int, Dict[str, Any]] = {}
+    for record in leader.records:
+        kind = record.get("kind")
+        if kind == "prefix" and "digest" in record:
+            _verify_prefix_artifact(run, spec, leader.params, record)
+        elif kind == "prefix-error":
+            if run.journal is not None:
+                run.journal.note(
+                    "warm_prefix_failed",
+                    experiment=spec.name,
+                    key=warm_prefix_key(spec, run.scale, leader.params),
+                    error=record.get("error", "?"),
+                )
+        elif kind == "cell":
+            got[int(record.get("index", -1))] = record
+    retry: List[_Slot] = []
+    worker = leader.worker
+    for index, slot in enumerate(leader.slots):
+        record = got.get(index)
+        if record is not None and record.get("ok"):
+            run.tally("warm_cells")
+            run.finish(slot, record["payload"], float(record.get("wall_s", 0.0)), worker)
+        elif record is not None:
+            run.fail(slot, "exception", record.get("error", "?"), worker, final=False)
+            retry.append(slot)
+        else:
+            run.fail(slot, "worker-died", "warm group leader died before reporting",
+                     worker, final=False)
+            retry.append(slot)
+    return retry
 
 
 def _warm_width() -> int:
-    """How many warm cells a group leader keeps simulating at once.
+    """How many warm units (leader prefixes and cells) run at once.
 
     One per CPU this process may run on: its affinity mask, which
     ``taskset`` narrows.  Cgroup CPU quotas are not consulted.
@@ -679,7 +850,8 @@ def _cell_failure(index: int, error: str) -> str:
 
 
 def _warm_leader(
-    write_fd: int,
+    record_fd: int,
+    control_fd: int,
     scale: ExperimentScale,
     group_params: Params,
     slots: Sequence[_Slot],
@@ -687,36 +859,35 @@ def _warm_leader(
 ) -> None:
     """Group leader (runs in a forked child; never returns).
 
-    Simulates the shared warmup prefix once, reports it (with its state
-    digest when ``digest`` is set), then forks one grandchild per cell
-    (:func:`_fork_warm_cell`), keeping up to :func:`_warm_width` of them
-    simulating at once.  The leader itself only forks and reads their
-    pipes, so its memory image stays the pristine prefix every cell forks
-    from.  It reaps each grandchild when its pipe reaches EOF and passes
-    the records up in slot order, so nothing the parent sees depends on
-    which cell finishes first.  A cell whose fork fails reports a failure
-    of its own; a leader that fails kills and reaps its in-flight
-    grandchildren before it exits.
+    Simulates the shared warmup prefix once and reports it (with its
+    state digest when ``digest`` is set).  Then, for each byte the parent
+    writes to ``control_fd``, it forks the next cell (:func:`_fork_warm_cell`)
+    and reports each cell's record the moment that cell ends.  The leader
+    itself only forks and reads pipes, so its memory image stays the
+    pristine prefix every cell forks from.  A cell whose fork fails
+    reports a failure of its own.  EOF on ``control_fd`` means the parent
+    is gone or aborting; then, as when the leader itself fails, it kills
+    and reaps its running cells before it exits.
     """
     # Imported here: only a leader needs them, and the registry import
     # every run pays stays as it is.
     import selectors
     import signal
 
-    stream = os.fdopen(write_fd, "w")
+    stream = os.fdopen(record_fd, "w")
     warmup = slots[0].spec.warmup
     # read fd -> (cell index, grandchild pid, bytes read so far)
     running: Dict[int, Tuple[int, int, List[bytes]]] = {}
 
-    def _emit(record: Dict[str, Any]) -> None:
-        stream.write(json.dumps(record) + "\n")
+    def _emit(line: str) -> None:
+        stream.write(line + "\n")
         stream.flush()
 
     try:
         try:
             ctx = warmup.prefix(scale, dict(group_params))
         except Exception as exc:
-            _emit({"kind": "prefix-error", "error": _error_text(exc)})
+            _emit(json.dumps({"kind": "prefix-error", "error": _error_text(exc)}))
             return
         prefix_record: Dict[str, Any] = {"kind": "prefix"}
         system = ctx.get("system") if digest and isinstance(ctx, dict) else None
@@ -724,23 +895,28 @@ def _warm_leader(
             from repro.sim.checkpoint import snapshot_system
 
             prefix_record.update(snapshot_system(system))
-        _emit(prefix_record)
+        _emit(json.dumps(prefix_record))
 
-        width = _warm_width()
-        lines: Dict[int, str] = {}
         forked = reported = 0
         with selectors.DefaultSelector() as selector:
+            selector.register(control_fd, selectors.EVENT_READ)
             while reported < len(slots):
-                while forked < len(slots) and len(running) < width:
-                    index, forked = forked, forked + 1
-                    try:
-                        read_fd, pid = _fork_warm_cell(scale, index, slots[index], ctx)
-                    except OSError as exc:
-                        lines[index] = _cell_failure(index, f"warm cell fork failed: {exc}")
+                for key, _ in selector.select():
+                    if key.fd == control_fd:
+                        grants = os.read(control_fd, len(slots))
+                        if not grants:
+                            return
+                        for _ in grants:
+                            index, forked = forked, forked + 1
+                            try:
+                                read_fd, pid = _fork_warm_cell(scale, index, slots[index], ctx)
+                            except OSError as exc:
+                                _emit(_cell_failure(index, f"warm cell fork failed: {exc}"))
+                                reported += 1
+                                continue
+                            running[read_fd] = (index, pid, [])
+                            selector.register(read_fd, selectors.EVENT_READ)
                         continue
-                    running[read_fd] = (index, pid, [])
-                    selector.register(read_fd, selectors.EVENT_READ)
-                for key, _ in selector.select() if running else ():
                     # Drain every pipe as it fills: a payload larger than
                     # the pipe buffer would otherwise block its writer.
                     chunk = os.read(key.fd, 1 << 16)
@@ -752,19 +928,16 @@ def _warm_leader(
                     os.close(key.fd)
                     os.waitpid(pid, 0)
                     del running[key.fd]
-                    text = b"".join(chunks).decode().strip().splitlines()
-                    lines[index] = text[-1] if text else _cell_failure(
-                        index, "warm cell worker died before reporting")
-                while reported in lines:
-                    stream.write(lines.pop(reported) + "\n")
+                    # A cell that died mid-write leaves no final newline.
+                    data = b"".join(chunks)
+                    _emit(data.decode().splitlines()[-1] if data.endswith(b"\n")
+                          else _cell_failure(index, "warm cell worker died before reporting"))
                     reported += 1
-                stream.flush()
-        _emit({"kind": "end"})
     except BaseException:  # noqa: BLE001 — parent treats EOF as group failure
         pass
     finally:
-        # A grandchild holds the parent's pipe open, so one left running
-        # would keep the parent waiting for EOF until it finished.
+        # A grandchild holds the parent's record pipe open, so one left
+        # running would keep the parent waiting for EOF until it finished.
         for _, pid, _ in running.values():
             try:
                 os.kill(pid, signal.SIGKILL)

@@ -440,6 +440,135 @@ def test_cli_sigkill_leaves_no_orphaned_workers(tmp_path):
     assert survivors == [], "workers outlived the killed CLI"
 
 
+# ----------------------------------------------------------------------
+# the warm placement under the CLI: signals and kill -9
+# ----------------------------------------------------------------------
+#: Runs the CLI on its command-line arguments with two warm units, so the
+#: schedule does not depend on the host's CPU count.
+_TWO_UNIT_CLI = (
+    "import sys\n"
+    "from repro.experiments import engine\n"
+    "from repro.experiments.__main__ import main\n"
+    "engine._warm_width = lambda: 2\n"
+    "sys.exit(main())\n"
+)
+
+
+def _wait_for(predicate, timeout_s, what):
+    deadline = time.monotonic() + timeout_s
+    while not predicate():
+        assert time.monotonic() < deadline, f"timed out waiting for {what}"
+        time.sleep(0.02)
+
+
+def test_cli_sigint_to_a_warm_run_drains_once_then_resumes(tmp_path):
+    # SIGINT to the whole process group reaches every leader and cell
+    # too; only the CLI may answer it.
+    env = _cli_env(tmp_path)
+    out_dir = tmp_path / "out"
+    journal_path = tmp_path / "runs" / "zoo-int" / "journal.jsonl"
+    proc = subprocess.Popen(
+        [
+            sys.executable, "-c", _TWO_UNIT_CLI,
+            "--only", "policy-zoo", "--run-id", "zoo-int", "--out", str(out_dir),
+        ],
+        env=env, stdout=subprocess.DEVNULL, stderr=subprocess.PIPE, text=True,
+        start_new_session=True,
+    )
+    try:
+        _wait_for(
+            lambda: journal_path.exists() and '"state":"done"' in journal_path.read_text(),
+            120.0, "a done cell",
+        )
+        os.killpg(proc.pid, signal.SIGINT)
+        _, stderr = proc.communicate(timeout=120)
+    finally:
+        if proc.poll() is None:
+            os.killpg(proc.pid, signal.SIGKILL)
+            proc.wait()
+    assert stderr.count("draining in-flight cells") == 1, stderr
+    assert proc.returncode == 3, stderr
+    assert load_state(find_run("zoo-int", tmp_path / "runs")).end_state == "suspended"
+
+    done = subprocess.run(
+        [sys.executable, "-m", "repro.experiments", "--resume", "zoo-int", "--out", str(out_dir)],
+        env=env, capture_output=True, text=True, timeout=300,
+    )
+    assert done.returncode == 0, done.stderr
+    assert (out_dir / "policy-zoo.txt").read_bytes() == (
+        (GOLDEN / "policy-zoo.txt").read_bytes()
+    )
+
+
+#: Registers a two-group warm spec whose forked cells record their pid
+#: and sleep, then runs the CLI on it with two warm units.
+_SLEEPING_WARM_CLI = """
+import os, sys, time
+from repro.experiments import engine, registry
+from repro.experiments.__main__ import main
+from repro.experiments.registry import Cell, ExperimentSpec, WarmupSpec
+from repro.experiments.runner import ExperimentResult
+
+pid_dir = sys.argv[1]
+cli_pid = os.getpid()
+
+def group(params):
+    return {"g": params["g"]}
+
+def prefix(scale, group):
+    return {}
+
+def finish(scale, params, ctx):
+    if os.getpid() != cli_pid:
+        open(os.path.join(pid_dir, str(os.getpid())), "w").close()
+        time.sleep(120)
+    return {"x": params["x"]}
+
+def merge(scale, payloads):
+    return ExperimentResult(name="warm-sleepers", title="warm-sleepers",
+                            headers=["x"], rows=payloads)
+
+engine._warm_width = lambda: 2
+registry.register(ExperimentSpec(
+    name="warm-sleepers", title="warm-sleepers",
+    cells=lambda scale: [Cell.make(g=x // 3, x=x) for x in range(6)],
+    cell_fn=lambda scale, params: finish(scale, params, prefix(scale, group(params))),
+    merge=merge,
+    warmup=WarmupSpec(group=group, prefix=prefix, finish=finish),
+))
+sys.exit(main(["--only", "warm-sleepers", "--no-cache"]))
+"""
+
+
+@pytest.mark.skipif(not Path("/proc/self/stat").exists(), reason="needs /proc")
+def test_cli_sigkill_leaves_no_warm_leader_or_cell(tmp_path):
+    # Each leader watches its control pipe from the CLI; kill -9 of the
+    # CLI must close every one, so the leaders kill their cells and exit.
+    pid_dir = tmp_path / "pids"
+    pid_dir.mkdir()
+    proc = subprocess.Popen(
+        [sys.executable, "-c", _SLEEPING_WARM_CLI, str(pid_dir)],
+        env=_cli_env(tmp_path), stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL,
+    )
+    cells, parents, leaders = [], set(), []
+    try:
+        _wait_for(lambda: len(list(pid_dir.iterdir())) >= 2, 60.0, "two sleeping cells")
+        cells = [int(path.name) for path in pid_dir.iterdir()]
+        parents = {_proc_stat(pid)[1] for pid in cells}
+        leaders = _children(proc.pid)
+    finally:
+        proc.send_signal(signal.SIGKILL)
+        proc.wait(timeout=30)
+    assert parents <= set(leaders), "every cell is a leader's child"
+    deadline = time.monotonic() + 5.0
+    while any(_alive(pid) for pid in cells + leaders) and time.monotonic() < deadline:
+        time.sleep(0.05)
+    survivors = [pid for pid in cells + leaders if _alive(pid)]
+    for pid in survivors:
+        os.kill(pid, signal.SIGKILL)
+    assert survivors == [], "warm processes outlived the killed CLI"
+
+
 def test_cli_resume_refuses_unknown_run(tmp_path):
     env = _cli_env(tmp_path)
     result = subprocess.run(

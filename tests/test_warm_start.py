@@ -10,8 +10,10 @@ Fault injection is sentinel-file based, as in ``test_supervision.py``:
 the first attempt drops a sentinel and raises inside the warm fork, and
 the inline retry finds it and succeeds.
 
-A leader keeps ``engine._warm_width()`` cells simulating at once; the
-window tests patch that helper to choose the width.
+The engine keeps ``engine._warm_width()`` units (leader prefixes and
+cells) simulating at once across all groups; the budget tests patch that
+helper to choose W.  No test may leave a child process or a descriptor
+behind.
 """
 
 import contextlib
@@ -25,7 +27,7 @@ import pytest
 
 from repro.experiments import engine, registry
 from repro.experiments.cache import CellCache
-from repro.experiments.engine import cell_key, execute, scale_to_dict
+from repro.experiments.engine import cell_key, execute, plan_resume, scale_to_dict
 from repro.experiments.journal import RunJournal, load_state
 from repro.experiments.registry import Cell, ExperimentSpec, WarmupSpec
 from repro.experiments.runner import QUICK, ExperimentResult
@@ -81,6 +83,23 @@ def warm_spec():
     yield factory
     for name in names:
         registry._SPECS.pop(name, None)
+
+
+def _open_fds():
+    return len(os.listdir("/proc/self/fd"))
+
+
+def _assert_no_children():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+@pytest.fixture(autouse=True)
+def _nothing_left_behind():
+    fds = _open_fds()
+    yield
+    _assert_no_children()
+    assert _open_fds() == fds
 
 
 def _journal(tmp_path, spec, run_id):
@@ -188,21 +207,27 @@ def _system_prefix(scale, group):
 def test_prefix_digest_is_taken_only_for_a_cached_run(tmp_path, monkeypatch, warm_spec):
     # Only a run with a cell cache records and checks the prefix digest,
     # so without one the leader must not spend time computing it.
-    prefixes = []
+    leaders = []
 
     def spy(*args, **kwargs):
-        records = real_fork_group(*args, **kwargs)
-        prefixes.extend(r for r in records if r.get("kind") == "prefix")
+        leader = real_start_leader(*args, **kwargs)
+        leaders.append(leader)
+        return leader
+
+    def prefix_records():
+        records = [r for leader in leaders for r in leader.records if r.get("kind") == "prefix"]
+        leaders.clear()
         return records
 
-    real_fork_group = engine._fork_group
-    monkeypatch.setattr(engine, "_fork_group", spy)
+    real_start_leader = engine._start_leader
+    monkeypatch.setattr(engine, "_start_leader", spy)
     spec = warm_spec("warm-digest", prefix=_system_prefix)
 
     uncached = execute([spec], QUICK)
+    prefixes = prefix_records()
     assert [("digest" in r) for r in prefixes] == [False, False]
-    prefixes.clear()
     cached = execute([spec], QUICK, cache=CellCache(tmp_path / "cache"))
+    prefixes = prefix_records()
     assert [("digest" in r) for r in prefixes] == [True, True]
     assert all(r["events"] == 0 for r in prefixes)
     assert cached.supervision["warm_cells"] == uncached.supervision["warm_cells"] == 5
@@ -234,15 +259,6 @@ def _deadline(seconds):
     finally:
         signal.alarm(0)
         signal.signal(signal.SIGALRM, previous)
-
-
-def _open_fds():
-    return len(os.listdir("/proc/self/fd"))
-
-
-def _assert_no_children():
-    with pytest.raises(ChildProcessError):
-        os.waitpid(-1, os.WNOHANG)
 
 
 def _transitions(tmp_path, run_id, spec):
@@ -420,3 +436,157 @@ def test_more_cells_at_once_than_cores(monkeypatch, warm_spec):
     assert warm.results[0].column("seen") == [1] * len(WIDE), "forks isolate cells"
     cold = execute([spec], QUICK, warm_start=False)
     assert warm.results[0].to_text() == cold.results[0].to_text()
+
+
+# ----------------------------------------------------------------------
+# one budget across groups: up to W prefixes and cells at once
+# ----------------------------------------------------------------------
+def _probed(probe, name, seconds):
+    """Hold a marker in ``probe/units`` for ``seconds``.
+
+    Logs how many markers exist once it holds its own, and logs its end
+    before letting go.
+    """
+    marker = probe / "units" / f"{name}-{os.getpid()}"
+    marker.touch()
+    held = len(os.listdir(probe / "units"))
+    with open(probe / "log", "a") as log:
+        log.write(f"start {name} {held}\n")
+    time.sleep(seconds)
+    with open(probe / "log", "a") as log:
+        log.write(f"end {name}\n")
+    marker.unlink()
+
+
+def test_no_more_than_w_prefixes_and_cells_run_at_once(tmp_path, monkeypatch, warm_spec):
+    test_pid = os.getpid()
+    probe = None
+
+    def probed_prefix(scale, group):
+        if os.getpid() != test_pid:
+            _probed(probe, f"p{group['g']}", 0.05)
+        return _prefix(scale, group)
+
+    def probed_finish(scale, params, ctx):
+        if os.getpid() != test_pid:
+            _probed(probe, f"c{params['x']}", 0.05)
+        return _healthy_finish(scale, params, ctx)
+
+    spec = warm_spec("warm-budget", probed_finish, probed_prefix)
+    for width in (1, 2, 3):
+        probe = tmp_path / f"w{width}"
+        (probe / "units").mkdir(parents=True)
+        _width(monkeypatch, width)
+        with _deadline(60):
+            report = execute([spec], QUICK)
+        assert report.supervision["warm_cells"] == 5
+        log = (probe / "log").read_text().splitlines()
+        held = [int(line.split()[2]) for line in log if line.startswith("start ")]
+        assert len(held) == 7, log  # two prefixes and five cells
+        assert max(held) <= width, log
+        if width == 2:
+            start_p1 = next(i for i, line in enumerate(log) if line.startswith("start p1 "))
+            assert start_p1 < log.index("end c2"), "group 2's prefix overlaps group 1"
+
+
+def test_groups_finishing_out_of_order_change_nothing(tmp_path, monkeypatch, warm_spec):
+    test_pid = os.getpid()
+
+    def slow_first_group(scale, params, ctx):
+        # Group 2's cells are fast, so it ends while group 1's last runs.
+        if os.getpid() != test_pid and params["g"] == 0:
+            time.sleep(0.15)
+        return _healthy_finish(scale, params, ctx)
+
+    spec = warm_spec("warm-out-of-order", slow_first_group)
+    keys = {x: cell_key(spec, QUICK, Cell.make(g=g, x=x)) for g, x in GRID}
+
+    def run(run_id, width, warm_start=True):
+        _width(monkeypatch, width)
+        journal = _journal(tmp_path, spec, run_id)
+        report = execute([spec], QUICK, journal=journal, warm_start=warm_start)
+        journal.close()
+        done = [r["key"] for r in load_state(tmp_path / run_id).records
+                if r["t"] == "cell" and r["state"] == "done"]
+        workers = {x: _record(tmp_path, run_id, spec, x).worker for _, x in GRID}
+        return report.results[0], _transitions(tmp_path, run_id, spec), workers, done
+
+    cold, cold_transitions, _, _ = run("cold", 1, warm_start=False)
+    serial, serial_transitions, serial_workers, serial_done = run("w1", 1)
+    assert serial_done.index(keys[2]) < serial_done.index(keys[3])
+    for attempt in range(5):
+        result, transitions, workers, done = run(f"w2-{attempt}", 2)
+        assert done.index(keys[3]) < done.index(keys[2]), "group 2 settles first"
+        assert result.to_text() == serial.to_text() == cold.to_text()
+        assert result.rows == serial.rows == cold.rows
+        assert transitions == serial_transitions == cold_transitions
+        assert workers == serial_workers
+
+
+def test_leader_killed_in_its_prefix_gives_its_unit_back(tmp_path, monkeypatch, warm_spec):
+    sentinel = tmp_path / "killed-once"
+    test_pid = os.getpid()
+
+    def killed_once(scale, group):
+        if group["g"] == 0 and os.getpid() != test_pid and not sentinel.exists():
+            sentinel.write_text("")
+            os.kill(os.getpid(), signal.SIGKILL)
+        return _prefix(scale, group)
+
+    _width(monkeypatch, 1)
+    spec = warm_spec("warm-prefix-killed", prefix=killed_once)
+    journal = _journal(tmp_path, spec, "prefix-killed")
+    # With one unit, group 2 starts only once the dead leader's is free.
+    with _deadline(60):
+        report = execute([spec], QUICK, journal=journal)
+    journal.close()
+    assert report.failures == []
+    assert report.supervision["warm_cells"] == 2, "group 2 still runs warm"
+    assert report.results[0].column("y") == [100 * g + x for g, x in GRID]
+    assert report.results[0].column("seen") == [1] * len(GRID)
+    transitions = _transitions(tmp_path, "prefix-killed", spec)
+    retried = [("dispatched", 1), ("failed", 1), ("dispatched", 2), ("done", 2)]
+    assert [transitions[x] for x in (0, 1, 2)] == [retried] * 3
+    assert [transitions[x] for x in (3, 4, 5)] == [[("dispatched", 1), ("done", 1)]] * 3
+
+
+def test_stop_request_finishes_started_groups_warm(tmp_path, monkeypatch, warm_spec):
+    started = []
+
+    def start_leader(*args, **kwargs):
+        started.append(None)
+        return real_start_leader(*args, **kwargs)
+
+    real_start_leader = engine._start_leader
+    monkeypatch.setattr(engine, "_start_leader", start_leader)
+    _width(monkeypatch, 2)
+    spec = warm_spec("warm-stop")
+    cache = CellCache(tmp_path / "cache")
+    journal = _journal(tmp_path, spec, "stop")
+    first = execute(
+        [spec], QUICK, cache=cache, journal=journal,
+        should_stop=lambda: bool(started), raise_on_failure=False,
+    )
+    journal.run_end("suspended", exit_code=3)
+    journal.close()
+    assert first.interrupted and first.results == []
+    assert len(started) == 1
+    assert first.supervision["warm_groups"] == 1
+    assert first.supervision["warm_cells"] == 3
+    assert first.skipped == 3, "group 2 and the inline cell"
+    transitions = _transitions(tmp_path, "stop", spec)
+    assert [transitions[x] for x in (0, 1, 2)] == [[("dispatched", 1), ("done", 1)]] * 3
+    assert [transitions[x] for x in (3, 4, 5)] == [[]] * 3, "never dispatched"
+
+    plan = plan_resume(load_state(tmp_path / "stop"))
+    assert plan.mismatches == []
+    resumed_journal = RunJournal.attach("stop", tmp_path)
+    resumed = execute(
+        plan.specs, plan.scale, cache=cache, journal=resumed_journal,
+        skip_failed=plan.skip_failed,
+    )
+    resumed_journal.run_end("complete", exit_code=0)
+    resumed_journal.close()
+    assert resumed.cached == 3
+    serial = execute([spec], QUICK, warm_start=False)
+    assert resumed.results[0].to_text() == serial.results[0].to_text()
