@@ -8,8 +8,9 @@ inline), and writes it under ``benchmarks/output/`` for the record.
 
 Environment knobs:
 
-* ``REPRO_BENCH_JOBS=N`` — fan each experiment's cells out over N
-  supervised worker processes (engine output is byte-identical to serial).
+* ``REPRO_BENCH_JOBS=N`` — fork N of each experiment's cells at a time
+  (default: the engine's own width, one per usable CPU; output is
+  byte-identical either way).
 * ``REPRO_BENCH_CACHE=1`` — reuse/populate the cell cache under
   ``benchmarks/.cache/`` instead of recomputing every cell.
 """
@@ -18,6 +19,7 @@ from __future__ import annotations
 
 import os
 import pathlib
+from typing import Optional
 
 import pytest
 
@@ -30,8 +32,9 @@ OUTPUT_DIR = pathlib.Path(__file__).parent / "output"
 
 
 @pytest.fixture(scope="session")
-def engine_jobs() -> int:
-    return max(1, int(os.environ.get("REPRO_BENCH_JOBS", "1")))
+def engine_jobs() -> Optional[int]:
+    jobs = os.environ.get("REPRO_BENCH_JOBS")
+    return max(1, int(jobs)) if jobs else None
 
 
 @pytest.fixture(scope="session")

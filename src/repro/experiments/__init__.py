@@ -9,7 +9,7 @@ The stable public API is registry + engine:
   :func:`resolve` — look up registered experiments (``resolve`` also
   expands group names like ``ablations``);
 * :func:`execute` — run any mix of specs with cell-level caching,
-  ``jobs`` process fan-out, and an optional observation config;
+  ``jobs`` forked cells at a time, and an optional observation config;
   :func:`run_spec` / :func:`run_specs` are thin conveniences over it;
 * :class:`ExperimentResult` — the rendered table each merge returns.
 
@@ -17,7 +17,7 @@ The stable public API is registry + engine:
 ``python -m repro.experiments`` entry point prints them.
 """
 
-from typing import List
+from typing import List, Optional
 
 # Import order fixes registration order: figures/tables in paper order,
 # then the beyond-paper analyses, then the ablations group.
@@ -67,7 +67,7 @@ from repro.experiments.runner import (
 )
 
 
-def run_all(scale: ExperimentScale = QUICK, jobs: int = 1) -> List[ExperimentResult]:
+def run_all(scale: ExperimentScale = QUICK, jobs: Optional[int] = None) -> List[ExperimentResult]:
     """Run every figure/table plus the ablations."""
     return run_specs(all_specs(), scale, jobs=jobs)
 

@@ -2,10 +2,10 @@
 
 Runs the requested experiments (default: the full registry, ablations
 included) at the chosen scale and prints the reproduced tables next to the
-paper's reference values.  Every cell runs in one placement — inline,
-forked from a warm prefix, or on a supervised worker — and every placement
-renders byte-identical tables: cells are independent seeded simulations
-and merge in declaration order.
+paper's reference values.  Every cell runs in one placement — forked
+(warm from a shared prefix, or cold) or, when observed, inline — and
+every placement renders byte-identical tables: cells are independent
+seeded simulations and merge in declaration order.
 
 Usage::
 
@@ -29,18 +29,17 @@ Conventions:
   ``done`` cells via the cache, and re-dispatches the rest (byte-identical
   to an uninterrupted run); ``--retry-failed`` also re-dispatches
   terminally failed cells;
-* ``--jobs N`` (N > 1), ``--timeout`` or ``--max-retries`` run cells on
-  the supervised worker pool: a hung or crashed cell is killed, retried
-  with backoff on a fresh worker, and fully journaled instead of aborting
-  the grid.  ``--jobs`` sizes only that pool, whose workers run every
-  cell cold;
-* otherwise, experiments that declare shared-warmup structure simulate
-  each warmup prefix **once** per group and fork their cells from the
-  live warmed-up process, keeping one prefix or cell per CPU in the
-  process's affinity mask simulating across all groups (``taskset -c 0``
-  runs them one at a time; ``--no-warm-start`` gives the serial cold
-  grid — output is byte-identical either way), and every other cell runs
-  inline;
+* every cell runs in a forked process, ``--jobs N`` at a time (default:
+  one per CPU in the process's affinity mask, so ``taskset -c 0`` runs
+  one at a time).  Experiments that declare shared-warmup structure
+  simulate each warmup prefix **once** per group and fork their cells
+  from the live warmed-up process; every other cell forks cold
+  (``--no-warm-start`` forks every cell cold).  Output is byte-identical
+  either way;
+* ``--timeout`` and ``--max-retries`` supervise every forked cell and
+  prefix alike: a hung one is killed at its deadline, and a crashed,
+  hung or raising cell is retried cold after a short backoff and fully
+  journaled instead of aborting the grid;
 * ``--trace`` / ``--metrics`` / ``--sanitize`` run every cell inline so
   its simulator can be observed;
 * ``--cache-prune [MB]`` bounds ``benchmarks/.cache/`` (LRU) and
@@ -49,7 +48,7 @@ Conventions:
   automatically on exit;
 * SIGINT/SIGTERM drain in-flight cells, journal a ``suspended`` record,
   and exit 3 (a second signal aborts immediately); only this process
-  answers them, and forked warm processes ignore both;
+  answers them, and every forked process ignores both;
 * exit code 0 = success, 1 = an experiment failed, 2 = usage error
   (including a refused resume), 3 = suspended and resumable.
 
@@ -128,9 +127,9 @@ def _build_parser() -> argparse.ArgumentParser:
         type=int,
         default=None,
         metavar="N",
-        help="supervised worker processes (default: 1, no pool: warm-start "
-        "prefixes and cells still run one per usable CPU across all groups; "
-        "with --resume defaults to the original run's setting)",
+        help="forked cells and warm-start prefixes simulating at once "
+        "(default: one per usable CPU; with --resume defaults to the "
+        "original run's setting)",
     )
     parser.add_argument(
         "--out",
@@ -169,8 +168,8 @@ def _build_parser() -> argparse.ArgumentParser:
         type=float,
         metavar="SECONDS",
         help="per-cell wall-clock budget (scaled by each experiment's "
-        "cost hint and the scale's stretch); a hung cell is killed, "
-        "retried on a fresh worker, and journaled",
+        "cost hint and the scale's stretch); a hung cell or warm-start "
+        "prefix is killed, retried cold, and journaled",
     )
     parser.add_argument(
         "--max-retries",
@@ -302,7 +301,7 @@ def main(argv=None) -> int:
         except KeyError as error:
             parser.error(str(error.args[0]))
         scale = _SCALES[args.scale]
-        jobs = args.jobs if args.jobs is not None else 1
+        jobs = args.jobs
         if args.journal or args.run_id:
             journal = RunJournal.create(
                 scale=scale_to_dict(scale),
@@ -323,7 +322,7 @@ def main(argv=None) -> int:
         from repro.obs.runtime import Observation
         from repro.obs.trace import TraceSink
 
-        if jobs > 1 or supervision_flags:
+        if jobs is not None or supervision_flags:
             print(
                 "[observability: cells run inline to be observed, so "
                 "--jobs/--timeout/--max-retries are ignored for this run]",
@@ -335,7 +334,7 @@ def main(argv=None) -> int:
             sanitize=args.sanitize,
         )
 
-    # --jobs N alone gets the engine's default SupervisorConfig.
+    # Without either flag the engine's default SupervisorConfig applies.
     supervise = None
     if supervision_flags:
         supervise = SupervisorConfig(

@@ -2,36 +2,35 @@
 
 The engine expands each :class:`ExperimentSpec` into its cells, serves
 what it can from the cell cache, and computes every other cell in exactly
-one of three placements:
+one of two placements:
 
-* **inline** — in this process, under the caller's
-  :class:`repro.obs.runtime.Observation` when there is one;
-* **warm fork** — forked from its warmup group's live warmed-up prefix
-  (specs declaring a :class:`~repro.experiments.registry.WarmupSpec`),
-  with one prefix or cell per CPU in the process's affinity mask
-  simulating at a time across all groups;
-* **supervised worker** — a process of the supervised pool: per-cell
-  wall-clock timeouts (scaled by the spec's ``cost_hint`` and the scale's
-  ``timeout_scale``), bounded retry with exponential backoff on a fresh
-  worker, worker-death detection with pool rebuild, and degradation to
-  inline execution when the pool repeatedly fails.
+* **inline** — in this process, one cell at a time: under the caller's
+  :class:`repro.obs.runtime.Observation` when there is one, and wherever
+  the platform has no ``os.fork``;
+* **forked** — in a child process, with W *units* simulating at once
+  (``jobs``; by default one per CPU in the process's affinity mask), a
+  unit being a forked cell or a warmup-group leader running its prefix.
+  Cells of a :class:`~repro.experiments.registry.WarmupSpec` group of two
+  or more fork from their group's live warmed-up prefix; every other cell
+  forks cold from this process.
 
-The call picks the placement: an ``observation`` keeps every cell inline;
-``jobs > 1`` or a ``supervise`` config sends them to the pool; otherwise
-cells of a warmup group of two or more fork warm and the rest run inline.
-A warm cell whose fork fails, and a cell a degraded pool leaves behind,
-re-enters the inline runner as its next attempt.  All three runners report
-through one set of helpers (:class:`_Run`), so dispatch, finish, fail and
-stop bookkeeping — journal records, cache writes, failure collection —
-exist once.
+Every forked unit is supervised alike: the process that forked it kills
+it at its wall-clock deadline (scaled by the spec's ``cost_hint`` and the
+scale's ``timeout_scale``), and a failed, dead or timed-out attempt with
+retries left reruns as a cold forked cell after a fixed backoff.  A cell
+whose fork is refused runs inline as its next attempt.  Both runners
+report through one set of helpers (:class:`_Run`), so dispatch, finish,
+fail and stop bookkeeping — journal records, cache writes, failure
+collection — exist once.
 
 Payloads merge back **in cell declaration order**, so every placement
 renders byte-identical tables: each cell builds its own seeded simulator,
 nothing is shared, and a warm fork inherits its prefix's memory exactly.
 Every payload, fresh or cached, passes through one canonical JSON
 round-trip before merging (``repr`` of a Python float round-trips
-exactly), and workers ship payloads as canonical JSON text, so a retried,
-resumed, or cached cell is indistinguishable from a fresh inline one.
+exactly), and forked cells ship payloads as canonical JSON text, so a
+retried, resumed, or cached cell is indistinguishable from a fresh inline
+one.
 
 Cache keys combine the experiment name, an explicit spec version, a
 fingerprint of the source a cell runs, the full scale preset, and the cell
@@ -46,15 +45,14 @@ Failing cells never abort the grid: each is collected into
 :class:`ExperimentFailure` unless ``raise_on_failure=False``).  A
 :class:`repro.experiments.journal.RunJournal` receives a state transition
 per attempt (dispatched/done/failed/timeout), making the run crash-safe and
-resumable; ``should_stop`` is polled between dispatches and, once true,
-stops dispatching, drains in-flight cells, and returns with
-``report.interrupted`` set (the CLI's clean-SIGINT path).  Under the warm
-placement it is polled before each group starts, and a started group
-finishes warm.
+resumable; ``should_stop`` is polled before each cell or group starts and,
+once true, starts nothing new, lets the started cells and groups finish,
+and returns with ``report.interrupted`` set (the CLI's clean-SIGINT path).
 """
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import json
 import os
@@ -64,7 +62,9 @@ import time
 from collections import deque
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
-from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple, Union
+from typing import (
+    Any, Callable, Dict, Iterable, List, Optional, Sequence, Tuple, Union,
+)
 
 from repro.experiments.cache import CellCache
 from repro.experiments.journal import RunJournal, RunState
@@ -196,20 +196,8 @@ def warm_prefix_key(
 
 
 # ----------------------------------------------------------------------
-# cell computation (also the worker-process entry point)
+# failures and supervision config
 # ----------------------------------------------------------------------
-def compute_cell(spec_name: str, scale_dict: Dict[str, Any], params: Params) -> Params:
-    """Run one cell and return its canonical payload.
-
-    Top-level (and addressed by spec *name*) so a worker process can be
-    handed the call, where the registry is rebuilt by importing
-    :mod:`repro.experiments`.
-    """
-    spec = get_spec(spec_name)
-    scale = scale_from_dict(scale_dict)
-    return _canonical(spec.cell_fn(scale, dict(params)))
-
-
 def _unit_label(spec: ExperimentSpec, cell: Cell) -> str:
     """Trace/metrics unit label for one cell: ``experiment[k=v,...]``."""
     params = cell.as_dict()
@@ -223,9 +211,6 @@ def _error_text(exc: BaseException) -> str:
     return f"{type(exc).__name__}: {exc}"
 
 
-# ----------------------------------------------------------------------
-# failures and supervision config
-# ----------------------------------------------------------------------
 @dataclass
 class CellFailure:
     """One cell that could not produce a payload."""
@@ -259,20 +244,13 @@ class ExperimentFailure(RuntimeError):
 
 @dataclass(frozen=True)
 class SupervisorConfig:
-    """Knobs for the supervised worker pool."""
+    """Deadlines and retries for every forked cell and warmup prefix."""
 
     #: Base per-cell wall-clock timeout in seconds for a ``cost_hint=1``
     #: cell at ``timeout_scale=1``; ``None`` disables timeouts.
     timeout_s: Optional[float] = None
     #: Extra attempts after the first (crashed, hung, or raising cells).
     max_retries: int = 1
-    #: Base retry backoff; doubles per attempt.
-    backoff_s: float = 0.25
-    #: Supervisor poll interval (result wait granularity).
-    poll_s: float = 0.05
-    #: Consecutive pool failures (spawn errors / worker deaths with no
-    #: intervening success) tolerated before degrading to inline.
-    max_pool_failures: int = 3
 
     def cell_timeout(self, spec: ExperimentSpec, scale: ExperimentScale) -> Optional[float]:
         """The effective wall-clock budget for one of ``spec``'s cells."""
@@ -316,14 +294,7 @@ class ExecutionReport:
 
 
 def _new_supervision_counters() -> Dict[str, int]:
-    return {
-        "dispatched": 0,
-        "retries": 0,
-        "timeouts": 0,
-        "worker_deaths": 0,
-        "pool_rebuilds": 0,
-        "degraded_serial": 0,
-    }
+    return {"dispatched": 0, "retries": 0, "timeouts": 0, "worker_deaths": 0}
 
 
 class _Slot:
@@ -339,10 +310,6 @@ class _Slot:
         self.cell = cell
         self.key = key
         self.attempts = 0
-
-
-def _in_order(slots: Sequence[_Slot]) -> List[_Slot]:
-    return sorted(slots, key=lambda slot: slot.order)
 
 
 class _Run:
@@ -366,6 +333,8 @@ class _Run:
         """Poll ``should_stop``; once it fires, the run stays interrupted."""
         if not self.report.interrupted and self.should_stop is not None:
             self.report.interrupted = bool(self.should_stop())
+            if self.report.interrupted and self.journal is not None:
+                self.journal.note("signal", action="drain in-flight, stop dispatching")
         return self.report.interrupted
 
     def tally(self, name: str) -> None:
@@ -375,6 +344,8 @@ class _Run:
     def dispatch(self, slot: _Slot, worker: str) -> None:
         """Start the slot's next attempt on ``worker``."""
         slot.attempts += 1
+        if worker != "inline":
+            self.tally("dispatched")
         if self.journal is not None and slot.key is not None:
             self.journal.cell_dispatched(slot.spec.name, slot.key, slot.attempts, worker)
 
@@ -389,11 +360,12 @@ class _Run:
             )
 
     def fail(self, slot: _Slot, kind: str, error: str, worker: str,
-             final: bool = True) -> None:
-        """Journal a failed attempt; a final one is collected as a failure.
-
-        Timeouts are journaled by the pool itself (with their budget).
-        """
+             final: bool = True, timeout_s: Optional[float] = None) -> None:
+        """Journal a failed attempt; a final one is collected as a failure."""
+        if kind == "timeout":
+            self.tally("timeouts")
+        elif kind == "worker-died":
+            self.tally("worker_deaths")
         if final:
             self.report.failures.append(
                 CellFailure(
@@ -405,18 +377,24 @@ class _Run:
                     attempts=slot.attempts,
                 )
             )
-        if self.journal is not None and slot.key is not None and kind != "timeout":
-            self.journal.cell_failed(
-                slot.spec.name, slot.key, slot.attempts, error,
-                kind=kind, final=final, worker=worker,
-            )
+        journal = self.journal
+        if journal is None or slot.key is None:
+            return
+        if kind == "timeout":
+            journal.cell_timeout(slot.spec.name, slot.key, slot.attempts, timeout_s,
+                                 final, worker)
+            return
+        if kind == "worker-died":
+            journal.note("worker_died", worker=worker, cell=_unit_label(slot.spec, slot.cell))
+        journal.cell_failed(slot.spec.name, slot.key, slot.attempts, error,
+                            kind=kind, final=final, worker=worker)
 
 
 def execute(
     specs: Sequence[Union[str, ExperimentSpec]],
     scale: ExperimentScale = QUICK,
     *,
-    jobs: int = 1,
+    jobs: Optional[int] = None,
     cache: Optional[CellCache] = None,
     cells_override: Optional[Sequence[Cell]] = None,
     observation: Optional[Any] = None,
@@ -436,19 +414,19 @@ def execute(
       *reads* (a cached payload emits no spans); each cell labels its
       spans and metrics ``<experiment>[<cell-params>]``.  Recording never
       perturbs the simulation, so payloads and cache writes are
-      byte-identical to an unobserved run.
-    * ``jobs > 1`` or ``supervise`` runs cells on the supervised pool of
-      ``jobs`` workers (``SupervisorConfig()`` defaults when ``supervise``
-      is not given).
-    * Otherwise, with ``warm_start`` (the default) and ``os.fork``
-      available, cells of a spec's :class:`~repro.experiments.registry.
-      WarmupSpec` group of two or more fork from the group's warmed-up
-      prefix, simulated **once** per group — O(groups × warmup) instead of
-      O(cells × warmup) — and the prefix's state digest is recorded as a
-      cache artifact and verified against prior runs.  One budget of a
-      unit per usable CPU spans all groups, a unit being a prefix or a
-      cell simulating, so the next group's prefix runs beside the last
-      cells of the groups before it.
+      byte-identical to an unobserved run.  A platform without ``os.fork``
+      runs every cell inline too.
+    * Otherwise every cell forks, with ``jobs`` units simulating at once
+      (default: one per usable CPU, :func:`_warm_width`), supervised by
+      ``supervise`` (``SupervisorConfig()`` when not given: no deadline,
+      one retry).  With ``warm_start`` (the default), cells of a spec's
+      :class:`~repro.experiments.registry.WarmupSpec` group of two or
+      more fork from the group's warmed-up prefix, simulated **once** per
+      group — O(groups × warmup) instead of O(cells × warmup) — and the
+      prefix's state digest is recorded as a cache artifact and verified
+      against prior runs.  A unit is a prefix or a cell simulating, so the
+      next group's prefix runs beside the last cells of the groups before
+      it.
 
     ``cells_override`` replaces the cell grid — only valid when running a
     single spec.  ``skip_failed`` maps ``(experiment, cell key)`` to a
@@ -494,15 +472,11 @@ def execute(
             else:
                 pending.append(_Slot((spec_index, cell_index), spec, cell, key))
 
-    inline = pending
-    if observation is None and pending:
-        if jobs > 1 or supervise is not None:
-            inline = _run_supervised(
-                run, pending, max(1, jobs), supervise or SupervisorConfig()
-            )
-        elif warm_start and hasattr(os, "fork"):
-            inline = _run_warm(run, pending)
-    _run_inline(run, inline, observation)
+    if pending and observation is None and hasattr(os, "fork"):
+        width = max(1, jobs) if jobs is not None else _warm_width()
+        _run_forked(run, pending, width, supervise or SupervisorConfig(), warm_start)
+    else:
+        _run_inline(run, pending, observation)
 
     for spec_index, spec in enumerate(resolved):
         ordered = [
@@ -551,113 +525,377 @@ def _run_inline(run: _Run, slots: Sequence[_Slot], observation: Optional[Any]) -
 
 
 # ----------------------------------------------------------------------
-# warm-fork placement
+# forked placement
 # ----------------------------------------------------------------------
-def _run_warm(run: _Run, pending: Sequence[_Slot]) -> List[_Slot]:
-    """Fork every warmup group of two or more cells from its live prefix.
+#: The worker every cold forked attempt is journaled on, whatever W is.
+_COLD = "cold"
+#: How long a failed forked attempt waits before it reruns cold.
+_RETRY_BACKOFF_S = 0.25
+#: How often a forked cell checks that its parent is still alive.
+_ORPHAN_CHECK_S = 0.25
 
-    Cells are grouped by warmup-prefix params within their spec; each
-    group runs through a forked leader (:func:`_start_leader`) that
-    simulates the prefix once and forks one process per cell from it.
-    This process owns the CPU budget: it keeps up to W =
-    :func:`_warm_width` *units* simulating across all groups, a unit
-    being a leader running its prefix or a cell it granted, and reads
-    every live leader's record pipe through one selector.  A freed unit
-    goes to the next cell of the earliest started group that still has
-    one; while that group is in its prefix, the unit starts the next
-    group's leader instead, or waits when every group has started.  So
-    cells are granted in group order whichever prefix ends first.  A
-    unit is freed by each record a leader sends (its prefix, or a
-    cell's) and, for whatever the leader still held, when its pipe
-    reaches EOF.  A finished group is settled in slot order, so no
-    record, payload or per-cell journal transition depends on which
-    unit finishes first.
 
-    Returns, in declaration order, what still needs the inline runner:
-    cells without a group to share, cells whose warm attempt failed (each
-    journaled as a non-final failure, so the inline rerun is its next
-    attempt), and groups a stop request left unstarted.  Warm start can
-    therefore only save time, never lose results.
+def _now() -> float:
+    return time.monotonic()  # repro: allow[REP001] reason=host-side supervision deadlines, never feed the simulation
+
+
+def _warm_width() -> int:
+    """How many units (prefixes and cells) simulate at once by default.
+
+    One per CPU this process may run on: its affinity mask, which
+    ``taskset`` narrows.  Cgroup CPU quotas are not consulted.
     """
-    # Imported here: only a warm run needs it, and the registry import
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity call on this platform
+        return os.cpu_count() or 1
+
+
+def _run_forked(run: _Run, pending: Sequence[_Slot], width: int,
+                cfg: SupervisorConfig, warm_start: bool) -> None:
+    """Compute ``pending`` in forked processes, ``width`` units at a time.
+
+    Cells are grouped by warmup-prefix params within their spec; a group
+    of two or more runs through a forked leader (:func:`_start_leader`)
+    that simulates the prefix once and forks one process per cell from
+    it, and every other cell forks cold from this process
+    (:func:`_fork_cell`).  This process owns the budget: it keeps up to W
+    = ``width`` *units* simulating, a unit being a cold cell, a leader
+    running its prefix or a cell it granted, and reads every unit's pipe
+    through one selector.  A freed unit goes to the next cell of the
+    earliest started group that still has one; while that group is in its
+    prefix, the unit starts the next item instead — a retry whose backoff
+    is over, else the next group (in group-key order), else the next cold
+    cell (in declaration order) — or waits.  So cells are granted in
+    group order whichever prefix ends first.  A unit is freed by each
+    record a leader sends (its prefix, or a cell's) and, for whatever a
+    unit still held, when its pipe reaches EOF.  A finished group is
+    settled in slot order, so no record, payload or per-cell journal
+    transition depends on which unit finishes first.
+
+    This process kills a cold cell, or a leader still in its prefix, at
+    its ``cfg`` deadline; each leader does the same for its cells.  A
+    failed, dead or timed-out attempt with retries left reruns as a cold
+    cell after :data:`_RETRY_BACKOFF_S`; one whose fork was refused runs
+    inline at once.  A stop request starts nothing new while started
+    cells and groups finish; whatever never started counts as skipped.
+    """
+    # Imported here: only a forked run needs it, and the registry import
     # every run pays stays as it is.
     import selectors
 
-    groups: Dict[Tuple[int, str], Tuple[Params, List[_Slot]]] = {}
-    leftover: List[_Slot] = []
-    for slot in pending:
-        warmup = slot.spec.warmup
-        if warmup is None:
-            leftover.append(slot)
-            continue
-        params = _canonical(warmup.group(slot.cell.as_dict()))
-        group_id = (slot.order[0], json.dumps(params, sort_keys=True))
-        groups.setdefault(group_id, (params, []))[1].append(slot)
-    unstarted: deque = deque()
-    for group_id in sorted(groups):
-        params, slots = groups[group_id]
-        # A prefix shared by one cell saves nothing; run it inline.
-        if len(slots) > 1:
-            unstarted.append((f"warm-g{len(unstarted) + 1}", params, slots))
-        else:
-            leftover.extend(slots)
+    queue = deque(_forked_items(pending, warm_start))
+    retries: deque = deque()  # (due at, slot); one fixed backoff keeps them in due order
+    units: Dict[int, Union[_Child, _Leader]] = {}  # by read end, in start order
+    free = width
 
-    free = _warm_width()
-    live: List[_Leader] = []  # in start order
+    def failed(slot: _Slot, kind: str, error: str, worker: str) -> None:
+        refused = kind == "fork-refused"
+        final = not refused and slot.attempts > cfg.max_retries
+        run.fail(slot, kind, error, worker, final, cfg.cell_timeout(slot.spec, run.scale))
+        if not final:
+            run.tally("retries")
+            if refused:
+                _run_inline(run, [slot], None)
+            else:
+                retries.append((_now() + _RETRY_BACKOFF_S, slot))
+
+    def settled(slot: _Slot, record: Dict[str, Any], worker: str) -> bool:
+        if record.get("ok"):
+            run.finish(slot, record["payload"], float(record.get("wall_s", 0.0)), worker)
+            return True
+        failed(slot, record.get("failure", "exception"), record.get("error", "?"), worker)
+        return False
+
+    def start(item: Union[_Slot, Tuple[str, Params, List[_Slot]]]) -> int:
+        """Fork a cold cell or a group's leader; return the units it took."""
+        inherited = [fd for unit in units.values() for fd in unit.fds()]
+        if isinstance(item, _Slot):
+            run.dispatch(item, _COLD)
+            compute = functools.partial(item.spec.cell_fn, run.scale, item.cell.as_dict())
+            try:
+                unit = _fork_cell(compute, 0, cfg.cell_timeout(item.spec, run.scale),
+                                  inherited, item)
+            except OSError as exc:
+                failed(item, "fork-refused", f"cell fork refused: {exc}", _COLD)
+                return 0
+        else:
+            worker, params, slots = item
+            for slot in slots:
+                run.dispatch(slot, worker)
+            unit = _start_leader(run, worker, params, slots, inherited,
+                                 cfg.cell_timeout(slots[0].spec, run.scale))
+            if unit is None:
+                for slot in slots:
+                    failed(slot, "fork-refused", "warm group leader could not fork", worker)
+                return 0
+        units[unit.fd] = unit
+        selector.register(unit.fd, selectors.EVENT_READ, unit)
+        return 1
+
     with selectors.DefaultSelector() as selector:
         try:
             while True:
                 while free:
-                    head = next((leader for leader in live if leader.wants_cells()), None)
+                    head = next((unit for unit in units.values()
+                                 if isinstance(unit, _Leader) and unit.wants_cells()), None)
                     if head is not None and head.prefixed:
                         free -= head.grant()
                         continue
-                    if not unstarted or run.stopping():
+                    due = bool(retries) and retries[0][0] <= _now()
+                    if not (due or queue) or run.stopping():
                         break
-                    worker, params, slots = unstarted.popleft()
-                    for slot in slots:
-                        run.dispatch(slot, worker)
-                    leader = _start_leader(run, worker, params, slots, live)
-                    if leader is None:
-                        for slot in slots:
-                            run.fail(slot, "worker-died", "warm group leader could not fork",
-                                     worker, final=False)
-                        leftover.extend(slots)
-                        continue
-                    live.append(leader)
-                    selector.register(leader.fd, selectors.EVENT_READ, leader)
-                    free -= 1
-                if not live:
+                    free -= start(retries.popleft()[1] if due else queue.popleft())
+                if not units and (run.report.interrupted or not (queue or retries)):
                     break
-                for key, _ in selector.select():
-                    leader = key.data
-                    chunk = os.read(leader.fd, 1 << 16)
+                deadlines = [unit.deadline for unit in units.values()]
+                if free and retries and not run.report.interrupted:
+                    deadlines.append(retries[0][0])
+                for key, _ in selector.select(_until(deadlines)):
+                    unit = key.data
+                    chunk = os.read(unit.fd, 1 << 16)
                     if chunk:
-                        free += leader.take(chunk)
+                        free += unit.take(chunk)
                         continue
-                    selector.unregister(leader.fd)
-                    live.remove(leader)
-                    free += leader.held
-                    leader.close()
-                    leftover.extend(_settle_group(run, leader))
+                    selector.unregister(unit.fd)
+                    del units[unit.fd]
+                    free += unit.held
+                    unit.close()
+                    if isinstance(unit, _Child):
+                        settled(unit.slot, json.loads(unit.record()), _COLD)
+                        continue
+                    for slot, record in _settle_group(run, unit):
+                        if settled(slot, record, unit.worker):
+                            run.tally("warm_cells")
+                _kill_overdue(units.values())
         except BaseException:
-            # A second stop signal, or any fault here: no leader may
+            # A second stop signal, or any fault here: no unit may
             # outlive this call.
-            for leader in live:
-                leader.abort()
+            for unit in units.values():
+                unit.abort()
             raise
-    leftover.extend(slot for _, _, slots in unstarted for slot in slots)
-    return _in_order(leftover)
+    run.report.skipped += len(retries) + sum(
+        1 if isinstance(item, _Slot) else len(item[2]) for item in queue
+    )
 
 
+def _forked_items(pending: Sequence[_Slot],
+                  warm_start: bool) -> List[Union[_Slot, Tuple[str, Params, List[_Slot]]]]:
+    """What the forked placement starts, in order: each warmup group of two
+    or more cells as ``(worker, group params, slots)``, in group-key order,
+    then every other cell in declaration order."""
+    groups: Dict[Tuple[int, str], Tuple[Params, List[_Slot]]] = {}
+    cold: List[_Slot] = []
+    for slot in pending:
+        warmup = slot.spec.warmup if warm_start else None
+        if warmup is None:
+            cold.append(slot)
+            continue
+        params = _canonical(warmup.group(slot.cell.as_dict()))
+        group_id = (slot.order[0], json.dumps(params, sort_keys=True))
+        groups.setdefault(group_id, (params, []))[1].append(slot)
+    items: List[Union[_Slot, Tuple[str, Params, List[_Slot]]]] = []
+    for group_id in sorted(groups):
+        params, slots = groups[group_id]
+        # A prefix shared by one cell saves nothing; that cell runs cold.
+        if len(slots) > 1:
+            items.append((f"warm-g{len(items) + 1}", params, slots))
+        else:
+            cold.extend(slots)
+    items.extend(sorted(cold, key=lambda slot: slot.order))
+    return items
+
+
+def _until(deadlines: Sequence[Optional[float]]) -> Optional[float]:
+    """Seconds to the earliest of ``deadlines``; ``None`` when there is none."""
+    due = [deadline for deadline in deadlines if deadline is not None]
+    return max(0.0, min(due) - _now()) if due else None
+
+
+def _kill_overdue(units: Iterable[Union[_Child, _Leader]]) -> None:
+    now = _now()
+    for unit in units:
+        if unit.deadline is not None and now >= unit.deadline:
+            unit.kill()
+
+
+def _kill(pid: int) -> None:
+    import signal
+
+    try:
+        os.kill(pid, signal.SIGKILL)
+    except OSError:
+        pass
+
+
+def _fork(inherited: Sequence[int]) -> int:
+    """``os.fork()`` for every forked unit; 0 in the child.
+
+    The child ignores SIGINT and SIGTERM, so only the CLI answers a stop
+    request (both stay blocked across the fork, so none lands before the
+    child ignores it), and it closes ``inherited``: the pipe ends of every
+    other live unit.  A control pipe held open elsewhere would never reach
+    EOF when its owner dies.  A refused fork raises ``OSError``.
+    """
+    import signal
+
+    stops = {signal.SIGINT, signal.SIGTERM}
+    mask = signal.pthread_sigmask(signal.SIG_BLOCK, stops)
+    try:
+        pid = os.fork()
+    except BaseException:
+        signal.pthread_sigmask(signal.SIG_SETMASK, mask)
+        raise
+    if pid:
+        signal.pthread_sigmask(signal.SIG_SETMASK, mask)
+        return pid
+    try:
+        for signum in stops:
+            signal.signal(signum, signal.SIG_IGN)
+        signal.pthread_sigmask(signal.SIG_SETMASK, mask)
+        for fd in inherited:
+            os.close(fd)
+    except BaseException:  # noqa: BLE001 — never unwind into the parent's stack
+        os._exit(1)
+    return 0
+
+
+def _exit_when_orphaned(parent_pid: int) -> None:
+    """Forked-cell watchdog: end the cell as soon as its parent is gone.
+
+    A SIGKILLed parent can stop none of its cells, and a cell left running
+    would simulate on, reparented to init, holding a CPU.  Polling the
+    parent pid stops it in the middle of a cell.  Only a cell process runs
+    this thread, and a cell forks nothing, so no fork copies a process
+    that has threads.
+    """
+    while os.getppid() == parent_pid:
+        time.sleep(_ORPHAN_CHECK_S)
+    os._exit(1)
+
+
+def _cell_failure(index: int, failure: str, error: str) -> str:
+    return json.dumps({"kind": "cell", "index": index, "ok": False,
+                       "failure": failure, "error": error})
+
+
+class _Child:
+    """A forked cell, as the process that forked it sees it."""
+
+    __slots__ = ("index", "slot", "pid", "fd", "timeout_s", "deadline", "timed_out", "chunks")
+    #: Units it holds until its pipe reaches EOF.
+    held = 1
+
+    def __init__(self, index: int, slot: Optional[_Slot], pid: int, fd: int,
+                 timeout_s: Optional[float]):
+        self.index = index
+        self.slot = slot
+        self.pid = pid
+        #: Read end of the cell's record pipe.
+        self.fd = fd
+        self.timeout_s = timeout_s
+        self.deadline = None if timeout_s is None else _now() + timeout_s
+        self.timed_out = False
+        self.chunks: List[bytes] = []
+
+    def fds(self) -> Tuple[int, ...]:
+        return (self.fd,)
+
+    def take(self, chunk: bytes) -> int:
+        # Drained as it fills: a payload larger than the pipe buffer would
+        # otherwise block its writer.
+        self.chunks.append(chunk)
+        return 0
+
+    def kill(self) -> None:
+        """Kill it at its deadline; the EOF that follows reports it."""
+        self.deadline = None
+        self.timed_out = True
+        _kill(self.pid)
+
+    def close(self) -> None:
+        """Close the read end and reap the cell."""
+        os.close(self.fd)
+        os.waitpid(self.pid, 0)
+
+    def abort(self) -> None:
+        _kill(self.pid)
+        try:
+            self.close()
+        except OSError:
+            pass
+
+    def record(self) -> str:
+        """The record line the cell reported, or the failure that ended it."""
+        data = b"".join(self.chunks)
+        # A cell that died mid-write leaves no final newline.
+        if data.endswith(b"\n"):
+            return data.decode().splitlines()[-1]
+        if self.timed_out:
+            return _cell_failure(self.index, "timeout",
+                                 f"cell exceeded {self.timeout_s:.1f}s wall-clock budget")
+        return _cell_failure(self.index, "worker-died", "cell process died before reporting")
+
+
+def _fork_cell(
+    compute: Callable[[], Params],
+    index: int,
+    timeout_s: Optional[float],
+    inherited: Sequence[int],
+    slot: Optional[_Slot] = None,
+) -> _Child:
+    """Fork the process that runs one cell, warm or cold, and return it.
+
+    The child runs ``compute`` (a warm cell's ``spec.warmup.finish`` over
+    the inherited live context, or a cold cell's ``spec.cell_fn``), writes
+    one record line and exits; it exits early once its parent is gone
+    (:func:`_exit_when_orphaned`).  A pipe or fork that fails raises and
+    leaves no descriptor open.
+    """
+    read_fd, write_fd = os.pipe()
+    parent = os.getpid()
+    try:
+        pid = _fork([read_fd, *inherited])
+    except BaseException:
+        os.close(read_fd)
+        os.close(write_fd)
+        raise
+    if pid:
+        os.close(write_fd)
+        return _Child(index, slot, pid, read_fd, timeout_s)
+    status = 0
+    try:
+        threading.Thread(target=_exit_when_orphaned, args=(parent,), daemon=True).start()
+        out = os.fdopen(write_fd, "w")
+        started = time.perf_counter()  # repro: allow[REP001] reason=host-side cell timing for the journal, never feeds the simulation
+        payload = _canonical(compute())
+        wall_s = time.perf_counter() - started  # repro: allow[REP001] reason=host-side cell timing, never feeds the simulation
+        record = {"kind": "cell", "index": index, "ok": True,
+                  "payload": payload, "wall_s": wall_s}
+        out.write(json.dumps(record) + "\n")
+        out.flush()
+    except BaseException as exc:  # noqa: BLE001 — child must report, not unwind
+        try:
+            out.write(_cell_failure(index, "exception", _error_text(exc)) + "\n")
+            out.flush()
+        except BaseException:  # noqa: BLE001
+            status = 1
+    finally:
+        os._exit(status)
+
+
+# ----------------------------------------------------------------------
+# warm groups
+# ----------------------------------------------------------------------
 class _Leader:
-    """A started warm group, as the parent sees its leader process."""
+    """A started warm group, as the engine sees its leader process."""
 
-    __slots__ = ("worker", "params", "slots", "pid", "fd", "control",
-                 "prefixed", "granted", "held", "buffer", "records")
+    __slots__ = ("worker", "params", "slots", "pid", "fd", "control", "timeout_s",
+                 "deadline", "timed_out", "prefixed", "granted", "held", "buffer",
+                 "records")
 
     def __init__(self, worker: str, params: Params, slots: Sequence[_Slot],
-                 pid: int, fd: int, control: int):
+                 pid: int, fd: int, control: int, timeout_s: Optional[float]):
         self.worker = worker
         self.params = params
         self.slots = slots
@@ -667,6 +905,10 @@ class _Leader:
         #: Write end of its control pipe, ``None`` once closed: each byte
         #: lets the leader fork one more cell, and EOF tells it to stop.
         self.control: Optional[int] = control
+        self.timeout_s = timeout_s
+        #: When its prefix is overdue; ``None`` once reported.
+        self.deadline = None if timeout_s is None else _now() + timeout_s
+        self.timed_out = False
         #: Whether its prefix has been reported; only then can it fork.
         self.prefixed = False
         self.granted = 0
@@ -675,6 +917,9 @@ class _Leader:
         self.held = 1
         self.buffer = b""
         self.records: List[Dict[str, Any]] = []
+
+    def fds(self) -> Tuple[int, ...]:
+        return (self.fd,) if self.control is None else (self.fd, self.control)
 
     def wants_cells(self) -> bool:
         return self.control is not None and self.granted < len(self.slots)
@@ -706,6 +951,7 @@ class _Leader:
             kind = record.get("kind")
             if kind == "prefix":
                 self.prefixed = True
+                self.deadline = None
             elif kind == "prefix-error":
                 self.close_control()
         return len(lines)
@@ -714,6 +960,12 @@ class _Leader:
         if self.control is not None:
             os.close(self.control)
             self.control = None
+
+    def kill(self) -> None:
+        """Kill it at its prefix deadline (it holds no cells yet)."""
+        self.deadline = None
+        self.timed_out = True
+        _kill(self.pid)
 
     def close(self) -> None:
         """Close this end of both pipes and reap the leader."""
@@ -724,13 +976,8 @@ class _Leader:
     def abort(self) -> None:
         """End the leader now: EOF on its control pipe makes it kill its
         cells and exit; one still in its prefix has none and is killed."""
-        import signal
-
         if not self.prefixed:
-            try:
-                os.kill(self.pid, signal.SIGKILL)
-            except OSError:
-                pass
+            _kill(self.pid)
         try:
             self.close()
         except OSError:
@@ -742,19 +989,14 @@ def _start_leader(
     worker: str,
     group_params: Params,
     slots: Sequence[_Slot],
-    live: Sequence[_Leader],
+    inherited: Sequence[int],
+    timeout_s: Optional[float],
 ) -> Optional[_Leader]:
     """Fork the leader of one warm group; ``None`` when it could not be.
 
-    The leader ignores SIGINT and SIGTERM, so only this process answers a
-    stop request (the signals stay blocked across the fork, so none lands
-    before the leader ignores it), and it closes this end of every other
-    live leader's pipes: a control pipe held open elsewhere would never
-    reach EOF when this process dies.  It digests the prefix state only
-    for a run with a cell cache, the only kind that records it.
+    It digests the prefix state only for a run with a cell cache, the
+    only kind that records it.
     """
-    import signal
-
     try:
         read_fd, write_fd = os.pipe()
     except OSError:
@@ -765,26 +1007,14 @@ def _start_leader(
         os.close(read_fd)
         os.close(write_fd)
         return None
-    stops = {signal.SIGINT, signal.SIGTERM}
-    pid = -1
-    mask = signal.pthread_sigmask(signal.SIG_BLOCK, stops)
     try:
-        pid = os.fork()
+        pid = _fork([read_fd, control_write, *inherited])
     except OSError:
-        pass
-    finally:
-        if pid != 0:
-            signal.pthread_sigmask(signal.SIG_SETMASK, mask)
+        pid = -1
     if pid == 0:
         try:
-            for signum in stops:
-                signal.signal(signum, signal.SIG_IGN)
-            signal.pthread_sigmask(signal.SIG_SETMASK, mask)
-            for fd in [read_fd, control_write, *(leader.fd for leader in live),
-                       *(leader.control for leader in live if leader.control is not None)]:
-                os.close(fd)
             _warm_leader(write_fd, control_read, run.scale, group_params, slots,
-                         run.cache is not None)
+                         run.cache is not None, timeout_s)
         finally:
             os._exit(1)  # never unwind into the parent's stack
     os.close(write_fd)
@@ -793,60 +1023,35 @@ def _start_leader(
         os.close(read_fd)
         os.close(control_write)
         return None
-    return _Leader(worker, group_params, slots, pid, read_fd, control_write)
+    return _Leader(worker, group_params, slots, pid, read_fd, control_write, timeout_s)
 
 
-def _settle_group(run: _Run, leader: _Leader) -> List[_Slot]:
-    """Settle a finished group in slot order; return the cells to retry
-    inline."""
+def _settle_group(run: _Run, leader: _Leader) -> List[Tuple[_Slot, Dict[str, Any]]]:
+    """Check a finished group's prefix; return each cell's record in slot
+    order, a failure standing in for every cell that reported none."""
     run.tally("warm_groups")
     spec = leader.slots[0].spec
     got: Dict[int, Dict[str, Any]] = {}
+    missing = {"failure": "worker-died", "error": "warm group leader died before reporting"}
+    if leader.timed_out:
+        missing = {"failure": "timeout", "error": f"warmup prefix exceeded "
+                   f"{leader.timeout_s:.1f}s wall-clock budget"}
     for record in leader.records:
         kind = record.get("kind")
         if kind == "prefix" and "digest" in record:
             _verify_prefix_artifact(run, spec, leader.params, record)
         elif kind == "prefix-error":
+            missing = {"failure": "exception", "error": record.get("error", "?")}
             if run.journal is not None:
                 run.journal.note(
                     "warm_prefix_failed",
                     experiment=spec.name,
                     key=warm_prefix_key(spec, run.scale, leader.params),
-                    error=record.get("error", "?"),
+                    error=missing["error"],
                 )
         elif kind == "cell":
             got[int(record.get("index", -1))] = record
-    retry: List[_Slot] = []
-    worker = leader.worker
-    for index, slot in enumerate(leader.slots):
-        record = got.get(index)
-        if record is not None and record.get("ok"):
-            run.tally("warm_cells")
-            run.finish(slot, record["payload"], float(record.get("wall_s", 0.0)), worker)
-        elif record is not None:
-            run.fail(slot, "exception", record.get("error", "?"), worker, final=False)
-            retry.append(slot)
-        else:
-            run.fail(slot, "worker-died", "warm group leader died before reporting",
-                     worker, final=False)
-            retry.append(slot)
-    return retry
-
-
-def _warm_width() -> int:
-    """How many warm units (leader prefixes and cells) run at once.
-
-    One per CPU this process may run on: its affinity mask, which
-    ``taskset`` narrows.  Cgroup CPU quotas are not consulted.
-    """
-    try:
-        return len(os.sched_getaffinity(0))
-    except AttributeError:  # no affinity call on this platform
-        return os.cpu_count() or 1
-
-
-def _cell_failure(index: int, error: str) -> str:
-    return json.dumps({"kind": "cell", "index": index, "ok": False, "error": error})
+    return [(slot, got.get(index, missing)) for index, slot in enumerate(leader.slots)]
 
 
 def _warm_leader(
@@ -856,28 +1061,28 @@ def _warm_leader(
     group_params: Params,
     slots: Sequence[_Slot],
     digest: bool,
+    timeout_s: Optional[float],
 ) -> None:
     """Group leader (runs in a forked child; never returns).
 
     Simulates the shared warmup prefix once and reports it (with its
     state digest when ``digest`` is set).  Then, for each byte the parent
-    writes to ``control_fd``, it forks the next cell (:func:`_fork_warm_cell`)
-    and reports each cell's record the moment that cell ends.  The leader
-    itself only forks and reads pipes, so its memory image stays the
-    pristine prefix every cell forks from.  A cell whose fork fails
-    reports a failure of its own.  EOF on ``control_fd`` means the parent
-    is gone or aborting; then, as when the leader itself fails, it kills
-    and reaps its running cells before it exits.
+    writes to ``control_fd``, it forks the next cell (:func:`_fork_cell`)
+    and reports each cell's record the moment that cell ends, killing a
+    cell at its ``timeout_s`` deadline.  The leader itself only forks and
+    reads pipes, so its memory image stays the pristine prefix every cell
+    forks from.  A cell whose fork fails reports a failure of its own.
+    EOF on ``control_fd`` means the parent is gone or aborting; then, as
+    when the leader itself fails, it kills and reaps its running cells
+    before it exits.
     """
-    # Imported here: only a leader needs them, and the registry import
+    # Imported here: only a leader needs it, and the registry import
     # every run pays stays as it is.
     import selectors
-    import signal
 
     stream = os.fdopen(record_fd, "w")
     warmup = slots[0].spec.warmup
-    # read fd -> (cell index, grandchild pid, bytes read so far)
-    running: Dict[int, Tuple[int, int, List[bytes]]] = {}
+    running: Dict[int, _Child] = {}  # by read end
 
     def _emit(line: str) -> None:
         stream.write(line + "\n")
@@ -901,95 +1106,51 @@ def _warm_leader(
         with selectors.DefaultSelector() as selector:
             selector.register(control_fd, selectors.EVENT_READ)
             while reported < len(slots):
-                for key, _ in selector.select():
+                wait = _until([child.deadline for child in running.values()])
+                for key, _ in selector.select(wait):
                     if key.fd == control_fd:
                         grants = os.read(control_fd, len(slots))
                         if not grants:
                             return
                         for _ in grants:
                             index, forked = forked, forked + 1
+                            compute = functools.partial(
+                                warmup.finish, scale, slots[index].cell.as_dict(), ctx
+                            )
                             try:
-                                read_fd, pid = _fork_warm_cell(scale, index, slots[index], ctx)
+                                child = _fork_cell(compute, index, timeout_s,
+                                                   [record_fd, control_fd, *running])
                             except OSError as exc:
-                                _emit(_cell_failure(index, f"warm cell fork failed: {exc}"))
+                                _emit(_cell_failure(index, "fork-refused",
+                                                    f"warm cell fork failed: {exc}"))
                                 reported += 1
                                 continue
-                            running[read_fd] = (index, pid, [])
-                            selector.register(read_fd, selectors.EVENT_READ)
+                            running[child.fd] = child
+                            selector.register(child.fd, selectors.EVENT_READ)
                         continue
-                    # Drain every pipe as it fills: a payload larger than
-                    # the pipe buffer would otherwise block its writer.
+                    child = running[key.fd]
                     chunk = os.read(key.fd, 1 << 16)
-                    index, pid, chunks = running[key.fd]
                     if chunk:
-                        chunks.append(chunk)
+                        child.take(chunk)
                         continue
                     selector.unregister(key.fd)
-                    os.close(key.fd)
-                    os.waitpid(pid, 0)
                     del running[key.fd]
-                    # A cell that died mid-write leaves no final newline.
-                    data = b"".join(chunks)
-                    _emit(data.decode().splitlines()[-1] if data.endswith(b"\n")
-                          else _cell_failure(index, "warm cell worker died before reporting"))
+                    child.close()
+                    _emit(child.record())
                     reported += 1
+                _kill_overdue(running.values())
     except BaseException:  # noqa: BLE001 — parent treats EOF as group failure
         pass
     finally:
-        # A grandchild holds the parent's record pipe open, so one left
-        # running would keep the parent waiting for EOF until it finished.
-        for _, pid, _ in running.values():
-            try:
-                os.kill(pid, signal.SIGKILL)
-                os.waitpid(pid, 0)
-            except OSError:
-                pass
+        # A cell killed here can no longer report; the parent reads the
+        # missing records as the leader's failure.
+        for child in running.values():
+            child.abort()
         try:
             stream.flush()
         except OSError:
             pass
         os._exit(0)
-
-
-def _fork_warm_cell(
-    scale: ExperimentScale, index: int, slot: _Slot, ctx: Any
-) -> Tuple[int, int]:
-    """Fork the grandchild that runs one warm cell; return its pipe's read
-    end and its pid.
-
-    The grandchild diverges via ``spec.warmup.finish`` over the inherited
-    live context, writes one record line and exits.  A pipe or fork that
-    fails raises ``OSError`` and leaves no descriptor open.
-    """
-    read_fd, write_fd = os.pipe()
-    try:
-        pid = os.fork()
-    except OSError:
-        os.close(read_fd)
-        os.close(write_fd)
-        raise
-    if pid:
-        os.close(write_fd)
-        return read_fd, pid
-    os.close(read_fd)
-    out = os.fdopen(write_fd, "w")
-    status = 0
-    try:
-        started = time.perf_counter()  # repro: allow[REP001] reason=host-side cell timing for the journal, never feeds the simulation
-        payload = _canonical(slot.spec.warmup.finish(scale, slot.cell.as_dict(), ctx))
-        wall_s = time.perf_counter() - started  # repro: allow[REP001] reason=host-side cell timing, never feeds the simulation
-        record = {"kind": "cell", "index": index, "ok": True,
-                  "payload": payload, "wall_s": wall_s}
-        out.write(json.dumps(record) + "\n")
-        out.flush()
-    except BaseException as exc:  # noqa: BLE001 — child must report, not unwind
-        try:
-            out.write(_cell_failure(index, _error_text(exc)) + "\n")
-            out.flush()
-        except BaseException:  # noqa: BLE001
-            status = 1
-    finally:
-        os._exit(status)
 
 
 def _verify_prefix_artifact(
@@ -1027,335 +1188,6 @@ def _verify_prefix_artifact(
 
 
 # ----------------------------------------------------------------------
-# supervised-worker placement
-# ----------------------------------------------------------------------
-#: How often a supervised worker checks that its parent is still alive.
-_ORPHAN_CHECK_S = 0.25
-
-
-def _exit_when_orphaned(parent_pid: int) -> None:
-    """Worker watchdog: end the worker as soon as its parent is gone.
-
-    A SIGKILLed parent never sends the shutdown sentinel, and a forked
-    worker holds its own task queue's write end, so it never sees EOF
-    either; without this it would run on, reparented to init.  Polling
-    the parent pid also stops a worker in the middle of a cell.
-    """
-    while os.getppid() == parent_pid:
-        time.sleep(_ORPHAN_CHECK_S)
-    os._exit(1)
-
-
-def _supervised_worker(
-    worker_id: str, task_queue: Any, result_queue: Any, parent_pid: int
-) -> None:
-    """Worker loop: compute cells until handed ``None``.
-
-    Payloads travel back as canonical JSON text, so the parent's
-    ``json.loads`` reproduces the exact bytes an inline run would merge.
-    """
-    threading.Thread(
-        target=_exit_when_orphaned, args=(parent_pid,), daemon=True,
-        name=f"orphan-watch-{worker_id}",
-    ).start()
-    while True:
-        item = task_queue.get()
-        if item is None:
-            return
-        task_id, attempt, spec_name, scale_dict, params = item
-        started = time.perf_counter()  # repro: allow[REP001] reason=host-side cell timing for the journal, never feeds the simulation
-        try:
-            payload = compute_cell(spec_name, scale_dict, params)
-        except Exception as exc:
-            wall_s = time.perf_counter() - started  # repro: allow[REP001] reason=host-side cell timing, never feeds the simulation
-            result_queue.put((task_id, attempt, False, _error_text(exc), wall_s))
-        else:
-            wall_s = time.perf_counter() - started  # repro: allow[REP001] reason=host-side cell timing, never feeds the simulation
-            result_queue.put((task_id, attempt, True, json.dumps(payload), wall_s))
-
-
-class _Task:
-    __slots__ = ("task_id", "slot", "timeout_s", "finished")
-
-    def __init__(self, task_id: int, slot: _Slot, timeout_s: Optional[float]):
-        self.task_id = task_id
-        self.slot = slot
-        self.timeout_s = timeout_s
-        self.finished = False
-
-    @property
-    def label(self) -> str:
-        return _unit_label(self.slot.spec, self.slot.cell)
-
-
-class _WorkerHandle:
-    __slots__ = ("worker_id", "task_queue", "proc", "task", "deadline", "attempt")
-
-    def __init__(self, ctx: Any, worker_id: str, result_queue: Any):
-        self.worker_id = worker_id
-        self.task_queue = ctx.SimpleQueue()
-        self.proc = ctx.Process(
-            target=_supervised_worker,
-            args=(worker_id, self.task_queue, result_queue, os.getpid()),
-            daemon=True,
-            name=f"repro-cell-{worker_id}",
-        )
-        self.proc.start()
-        self.task: Optional[_Task] = None
-        self.deadline: Optional[float] = None
-        self.attempt = 0
-
-    def kill(self) -> None:
-        try:
-            self.proc.terminate()
-            self.proc.join(0.5)
-            if self.proc.is_alive():
-                self.proc.kill()
-                self.proc.join(0.5)
-        except (OSError, ValueError):
-            pass
-
-    def shutdown(self) -> None:
-        if self.proc.is_alive():
-            try:
-                self.task_queue.put(None)
-            except (OSError, ValueError):
-                pass
-            self.proc.join(0.5)
-        if self.proc.is_alive():
-            self.kill()
-
-
-def _run_supervised(
-    run: _Run, pending: Sequence[_Slot], jobs: int, cfg: SupervisorConfig
-) -> List[_Slot]:
-    """Dispatch ``pending`` onto a supervised pool of worker processes.
-
-    Returns, in declaration order, the cells the pool did not settle:
-    those a stop request left undispatched, or — when the pool degraded —
-    every unfinished one, for the inline runner to take over as their
-    next attempt.
-    """
-    import multiprocessing
-    import queue as queue_mod
-
-    ctx = multiprocessing.get_context()
-    result_queue = ctx.Queue()
-    counters = run.report.supervision
-    journal = run.journal
-    scale_dict = scale_to_dict(run.scale)
-
-    tasks: Dict[int, _Task] = {}
-    ready: deque = deque()
-    waiting: List[Tuple[float, int]] = []  # (eligible_at, task_id)
-    for task_id, slot in enumerate(pending):
-        tasks[task_id] = _Task(task_id, slot, cfg.cell_timeout(slot.spec, run.scale))
-        ready.append(task_id)
-
-    workers: List[_WorkerHandle] = []
-    worker_serial = 0
-    pool_failures = 0  # consecutive, reset by any successful result
-    degraded = False
-    interrupted = False
-    unfinished = len(tasks)
-
-    def _monotonic() -> float:
-        return time.monotonic()  # repro: allow[REP001] reason=host-side supervisor deadlines, never feed the simulation
-
-    def spawn_worker() -> Optional[_WorkerHandle]:
-        nonlocal worker_serial, pool_failures
-        worker_serial += 1
-        try:
-            handle = _WorkerHandle(ctx, f"w{worker_serial}", result_queue)
-        except Exception:
-            pool_failures += 1
-            return None
-        workers.append(handle)
-        return handle
-
-    def retire(handle: _WorkerHandle) -> None:
-        if handle in workers:
-            workers.remove(handle)
-
-    def settle_success(task: _Task, payload_text: str, wall_s: float, worker: str) -> None:
-        nonlocal unfinished, pool_failures
-        task.finished = True
-        unfinished -= 1
-        pool_failures = 0
-        run.finish(task.slot, json.loads(payload_text), wall_s, worker)
-
-    def retry_or_fail(task: _Task, kind: str, error: str, worker: str) -> None:
-        nonlocal unfinished
-        final = task.slot.attempts > cfg.max_retries or interrupted
-        run.fail(task.slot, kind, error, worker, final=final)
-        if final:
-            task.finished = True
-            unfinished -= 1
-        else:
-            counters["retries"] += 1
-            backoff = cfg.backoff_s * (2 ** (task.slot.attempts - 1))
-            waiting.append((_monotonic() + backoff, task.task_id))
-
-    def handle_worker_loss(handle: _WorkerHandle, kind: str, error: str) -> None:
-        """A busy worker died or was killed; retry its task elsewhere."""
-        nonlocal pool_failures
-        task = handle.task
-        handle.task = None
-        handle.deadline = None
-        retire(handle)
-        if kind == "worker-died":
-            counters["worker_deaths"] += 1
-            pool_failures += 1
-            if journal is not None:
-                journal.note("worker_died", worker=handle.worker_id, cell=task.label)
-        if task is not None and not task.finished:
-            retry_or_fail(task, kind, error, handle.worker_id)
-
-    try:
-        while unfinished > 0:
-            if not interrupted and run.stopping():
-                interrupted = True
-                if journal is not None:
-                    journal.note("signal", action="drain in-flight, stop dispatching")
-                # Abandon everything not yet on a worker: the inline runner
-                # counts it skipped, and it stays pending in the journal
-                # for --resume.
-                unfinished -= len(ready) + len(waiting)
-                ready.clear()
-                waiting.clear()
-
-            now = _monotonic()
-
-            # Promote retry-backoff tasks whose wait elapsed.
-            if waiting and not interrupted:
-                still_waiting = []
-                for eligible_at, task_id in waiting:
-                    if now >= eligible_at:
-                        ready.append(task_id)
-                    else:
-                        still_waiting.append((eligible_at, task_id))
-                waiting[:] = still_waiting
-
-            # Degrade to inline when the pool keeps failing.
-            if pool_failures > cfg.max_pool_failures:
-                degraded = True
-                break
-
-            # Dispatch ready tasks onto idle (alive) workers, growing the
-            # pool up to ``jobs``.
-            while ready:
-                handle = next(
-                    (w for w in workers if w.task is None and w.proc.is_alive()), None
-                )
-                if handle is None:
-                    if len(workers) >= jobs:
-                        break
-                    handle = spawn_worker()
-                    if handle is None:
-                        break
-                task = tasks[ready[0]]
-                slot = task.slot
-                try:
-                    handle.task_queue.put(
-                        (task.task_id, slot.attempts + 1, slot.spec.name,
-                         scale_dict, slot.cell.as_dict())
-                    )
-                except Exception:
-                    handle.kill()
-                    retire(handle)
-                    pool_failures += 1
-                    counters["pool_rebuilds"] += 1
-                    continue
-                ready.popleft()
-                run.dispatch(slot, handle.worker_id)
-                handle.task = task
-                handle.attempt = slot.attempts
-                handle.deadline = (
-                    now + task.timeout_s if task.timeout_s is not None else None
-                )
-                counters["dispatched"] += 1
-
-            if unfinished <= 0:
-                break
-
-            # Wait for a result (bounded so deadlines/liveness stay fresh).
-            try:
-                message = result_queue.get(timeout=cfg.poll_s)
-            except queue_mod.Empty:
-                message = None
-            if message is not None:
-                task_id, attempt, ok, body, wall_s = message
-                task = tasks.get(task_id)
-                handle = next((w for w in workers if w.task is task), None)
-                worker_id = handle.worker_id if handle is not None else "w?"
-                if handle is not None and handle.attempt == attempt:
-                    handle.task = None
-                    handle.deadline = None
-                if task is not None and not task.finished:
-                    if ok:
-                        # A success is a success even if this attempt was
-                        # already abandoned: the payload is a pure function
-                        # of the cell, so the bytes are identical.
-                        settle_success(task, body, wall_s, worker_id)
-                    elif attempt == task.slot.attempts:
-                        retry_or_fail(task, "exception", body, worker_id)
-                    # else: stale failure from an abandoned attempt; the
-                    # retry is already scheduled.
-
-            # Deadline + liveness sweep.
-            now = _monotonic()
-            for handle in list(workers):
-                if handle.task is None:
-                    if not handle.proc.is_alive():
-                        retire(handle)
-                    continue
-                if handle.task.finished:
-                    handle.task = None
-                    handle.deadline = None
-                    continue
-                if not handle.proc.is_alive():
-                    exit_code = handle.proc.exitcode
-                    handle_worker_loss(
-                        handle,
-                        "worker-died",
-                        f"worker process died (exit code {exit_code})",
-                    )
-                    counters["pool_rebuilds"] += 1
-                elif handle.deadline is not None and now >= handle.deadline:
-                    task = handle.task
-                    counters["timeouts"] += 1
-                    counters["pool_rebuilds"] += 1
-                    final = task.slot.attempts > cfg.max_retries or interrupted
-                    if journal is not None and task.slot.key is not None:
-                        journal.cell_timeout(
-                            task.slot.spec.name, task.slot.key, task.slot.attempts,
-                            task.timeout_s, final, handle.worker_id,
-                        )
-                    handle.kill()
-                    handle_worker_loss(
-                        handle,
-                        "timeout",
-                        f"cell exceeded {task.timeout_s:.1f}s wall-clock budget",
-                    )
-
-            if interrupted and not any(w.task is not None for w in workers):
-                break
-    finally:
-        for handle in list(workers):
-            handle.shutdown()
-        result_queue.close()
-
-    if degraded:
-        counters["degraded_serial"] = 1
-        if journal is not None:
-            journal.note(
-                "degraded_serial",
-                reason=f"pool failed {pool_failures} times in a row",
-            )
-    return _in_order([task.slot for task in tasks.values() if not task.finished])
-
-
-# ----------------------------------------------------------------------
 # resume planning
 # ----------------------------------------------------------------------
 @dataclass
@@ -1365,7 +1197,8 @@ class ResumePlan:
     state: RunState
     specs: List[ExperimentSpec]
     scale: ExperimentScale
-    jobs: int
+    #: ``None``: the engine's default width.
+    jobs: Optional[int]
     #: Terminally failed cells not to re-dispatch (empty with --retry-failed).
     skip_failed: Dict[Tuple[str, str], CellFailure]
     #: Human-readable refusals: the journal's cells no longer match the
@@ -1428,7 +1261,7 @@ def run_spec(
     spec: Union[str, ExperimentSpec],
     scale: ExperimentScale = QUICK,
     *,
-    jobs: int = 1,
+    jobs: Optional[int] = None,
     cache: Optional[CellCache] = None,
     cells: Optional[Sequence[Cell]] = None,
     observation: Optional[Any] = None,
@@ -1448,7 +1281,7 @@ def run_specs(
     specs: Sequence[Union[str, ExperimentSpec]],
     scale: ExperimentScale = QUICK,
     *,
-    jobs: int = 1,
+    jobs: Optional[int] = None,
     cache: Optional[CellCache] = None,
     observation: Optional[Any] = None,
 ) -> List[ExperimentResult]:

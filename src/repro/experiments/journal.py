@@ -128,7 +128,7 @@ class RunJournal:
         cls,
         *,
         scale: Dict[str, Any],
-        jobs: int,
+        jobs: Optional[int],
         specs: List[str],
         run_id: Optional[str] = None,
         root: Optional[Path] = None,
@@ -303,8 +303,8 @@ class RunJournal:
         )
 
     def note(self, name: str, **fields: Any) -> None:
-        """A run-level supervision event (``worker_died``, ``pool_rebuild``,
-        ``degraded_serial``, ``signal``, ``resume`` …)."""
+        """A run-level supervision event (``worker_died``, ``signal``,
+        ``resume``, ``warm_prefix_failed`` …)."""
         record: Dict[str, Any] = {"t": "note", "name": name}
         record.update(fields)
         self._append(record, critical=True)
@@ -363,7 +363,8 @@ class RunState:
     schema: int = JOURNAL_SCHEMA
     argv: Optional[List[str]] = None
     scale: Dict[str, Any] = field(default_factory=dict)
-    jobs: int = 1
+    #: ``--jobs``; ``None`` when the run used the engine's default width.
+    jobs: Optional[int] = None
     specs: List[str] = field(default_factory=list)
     #: experiment -> {cell key -> record}, keys in declaration order.
     cells: Dict[str, Dict[str, CellRecord]] = field(default_factory=dict)
@@ -443,7 +444,7 @@ def load_state(run_dir: Path) -> RunState:
                 state.schema = record.get("schema", JOURNAL_SCHEMA)
                 state.argv = record.get("argv")
                 state.scale = record.get("scale", {})
-                state.jobs = record.get("jobs", 1)
+                state.jobs = record.get("jobs")
                 state.specs = list(record.get("specs", []))
             elif kind == "cells":
                 experiment = record["experiment"]

@@ -73,7 +73,7 @@ class WarmupSpec:
     ``cell_fn(scale, params)`` must equal
     ``finish(scale, params, prefix(scale, group(params)))`` — the spec's
     ``cell_fn`` should literally be that composition, so cold paths
-    (supervised pools, ``--no-warm-start``) and the forking warm-start
+    (cold forked cells, retries, ``--no-warm-start``) and the forking warm-start
     executor in :mod:`repro.experiments.engine` run the same code.
     ``finish`` runs in a forked child per cell, so its mutations of
     ``ctx`` never leak between cells.

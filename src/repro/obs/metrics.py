@@ -173,7 +173,7 @@ def run_metrics(supervision: Dict[str, int], cache: Any = None) -> MetricsRegist
 
     Covers the engine's supervisor counters (``supervision.retries``,
     ``supervision.timeouts``, ``supervision.worker_deaths``,
-    ``supervision.pool_rebuilds``, …) and — when a cache is in play — its
+    ``supervision.warm_cells``, …) and — when a cache is in play — its
     hit/miss/write tallies including ``cache.corrupt``, the count of
     quarantined entries.  These are host-side execution metrics: they never
     touch, and are never touched by, simulated time.

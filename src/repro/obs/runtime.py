@@ -8,8 +8,8 @@ caller's :class:`Observation` for the duration of its cells, and
 ``build_system`` calls :func:`observe_system` on every machine it finishes
 building.  An observation keeps every cell inline and skips cache reads (a
 cached payload would emit no spans or metrics).  With no observation
-active (the default, and always the case in warm forks and supervised
-workers), :func:`observe_system` is a single ``is None`` check.
+active (the default, and always the case in forked cells and warm-group
+leaders), :func:`observe_system` is a single ``is None`` check.
 """
 
 from __future__ import annotations

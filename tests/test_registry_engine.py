@@ -62,11 +62,15 @@ def test_serial_and_parallel_runs_are_byte_identical(name):
 # ----------------------------------------------------------------------
 # cell cache
 # ----------------------------------------------------------------------
-CALLS = []
+#: The file ``_counting_cell`` logs each computation to, when set: cells
+#: run in forked processes, so only a file outlives them.
+CALLS = {"log": None}
 
 
 def _counting_cell(scale, params):
-    CALLS.append(params["x"])
+    if CALLS["log"] is not None:
+        with open(CALLS["log"], "a") as log:
+            log.write(f"{params['x']}\n")
     return {"x": params["x"], "threads": list(scale.thread_counts)}
 
 
@@ -90,16 +94,19 @@ def _synthetic_spec(version=1):
     )
 
 
-def test_cache_hit_skips_recomputation(tmp_path):
+def test_cache_hit_skips_recomputation(tmp_path, monkeypatch):
+    log = tmp_path / "calls"
+    monkeypatch.setitem(CALLS, "log", log)
     spec = _synthetic_spec()
-    cache = CellCache(tmp_path)
-    CALLS.clear()
+    cache = CellCache(tmp_path / "cache")
     first = execute([spec], QUICK, cache=cache)
     assert (first.computed, first.cached) == (2, 0)
-    assert CALLS == [1, 2]
+    assert sorted(log.read_text().split()) == ["1", "2"]
     second = execute([spec], QUICK, cache=cache)
     assert (second.computed, second.cached) == (0, 2)
-    assert CALLS == [1, 2], "cache hit must not rerun the cell function"
+    assert sorted(log.read_text().split()) == ["1", "2"], (
+        "cache hit must not rerun the cell function"
+    )
     assert second.results[0].to_text() == first.results[0].to_text()
 
 

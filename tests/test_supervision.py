@@ -1,14 +1,15 @@
 """Tests for supervised execution: worker death, timeouts, retries, resume.
 
 The fault-injected specs register themselves in this test process; the
-supervised pool forks its workers, so the registrations (and their
-closures) are inherited — no pickling of cell functions ever happens
-(tasks cross the process boundary as ``(spec name, scale dict, params)``).
-Fault injection is sentinel-file based: attempt 1 finds no sentinel,
-drops it, and dies/hangs; the retry finds it and succeeds, so the final
-payload is exactly what a healthy serial run would produce.
+engine forks every cell, so the registrations (and their closures) are
+inherited — no pickling of cell functions ever happens, and payloads come
+back as canonical JSON text.  Fault injection is sentinel-file based:
+attempt 1 finds no sentinel, drops it, and dies/hangs; the retry finds it
+and succeeds, so the final payload is exactly what a healthy serial run
+would produce.
 """
 
+import errno
 import os
 import signal
 import subprocess
@@ -92,7 +93,7 @@ def _healthy_cell(scale, params):
 
 
 # ----------------------------------------------------------------------
-# worker death -> retry on a fresh worker
+# worker death -> retry in a fresh cold fork
 # ----------------------------------------------------------------------
 def test_worker_death_is_retried_and_result_matches_serial(tmp_path, synthetic):
     spec = synthetic("sup-death", _faulty_cell(tmp_path), cells=3)
@@ -102,7 +103,7 @@ def test_worker_death_is_retried_and_result_matches_serial(tmp_path, synthetic):
     )
     report = execute(
         [spec], QUICK, jobs=2, journal=journal,
-        supervise=SupervisorConfig(max_retries=1, backoff_s=0.01),
+        supervise=SupervisorConfig(max_retries=1),
     )
     journal.close()
     assert report.failures == []
@@ -136,7 +137,7 @@ def test_exhausted_retries_become_collected_failures(tmp_path, synthetic):
     with pytest.raises(ExperimentFailure) as excinfo:
         execute(
             [spec], QUICK, jobs=2,
-            supervise=SupervisorConfig(max_retries=1, backoff_s=0.01),
+            supervise=SupervisorConfig(max_retries=1),
         )
     failures = excinfo.value.failures
     assert len(failures) == 1
@@ -147,7 +148,7 @@ def test_exhausted_retries_become_collected_failures(tmp_path, synthetic):
     # computes the surviving cells and skips the merge for the broken spec.
     report = execute(
         [spec], QUICK, jobs=2, raise_on_failure=False,
-        supervise=SupervisorConfig(max_retries=0, backoff_s=0.01),
+        supervise=SupervisorConfig(max_retries=0),
     )
     assert report.incomplete == [spec.name]
     assert report.computed == 2
@@ -173,9 +174,7 @@ def test_hung_cell_times_out_and_retry_succeeds(tmp_path, synthetic):
     )
     report = execute(
         [spec], QUICK, jobs=2, journal=journal,
-        supervise=SupervisorConfig(
-            timeout_s=1.0, max_retries=1, backoff_s=0.01, poll_s=0.02
-        ),
+        supervise=SupervisorConfig(timeout_s=1.0, max_retries=1),
     )
     journal.close()
     assert report.failures == []
@@ -207,11 +206,13 @@ def test_timeout_budget_scales_with_cost_hint_and_scale():
 # raising cells are collected, not fatal mid-grid (serial path too)
 # ----------------------------------------------------------------------
 @pytest.mark.parametrize("jobs", [1, 2])
-def test_raising_cell_collected_all_cells_still_run(synthetic, jobs):
-    ran = []
+def test_raising_cell_collected_all_cells_still_run(tmp_path, synthetic, jobs):
+    # Cells run in forked processes, so they log to a file.
+    ran = tmp_path / "ran"
 
     def raises_at_one(scale, params):
-        ran.append(params["x"])
+        with open(ran, "a") as log:
+            log.write(f"{params['x']}\n")
         if params["x"] == 1:
             raise ValueError("injected")
         return {"x": params["x"], "y": 0}
@@ -228,7 +229,57 @@ def test_raising_cell_collected_all_cells_still_run(synthetic, jobs):
     assert failure.describe().startswith(f"sup-raise-{jobs}[x=1]: exception")
     assert report.computed == 2, "the other cells still computed"
     if jobs == 1:
-        assert ran == [0, 1, 2], "serial path must not abort the grid"
+        # One cell at a time: the grid is not aborted, and x=1's one
+        # retry (the default) runs once its backoff is over.
+        assert ran.read_text().split() == ["0", "1", "2", "1"]
+        assert failure.attempts == 2
+
+
+# ----------------------------------------------------------------------
+# a refused fork runs the cell inline, whatever retries are left
+# ----------------------------------------------------------------------
+def test_refused_fork_runs_the_cell_inline_as_its_next_attempt(
+    tmp_path, monkeypatch, synthetic
+):
+    test_pid = os.getpid()
+    real_fork = os.fork
+    refused = []
+    ran = tmp_path / "ran"
+
+    def refuse_first_fork():
+        if os.getpid() == test_pid and not refused:
+            refused.append(None)
+            raise BlockingIOError(errno.EAGAIN, "fork refused")
+        return real_fork()
+
+    def logged_cell(scale, params):
+        with open(ran, "a") as log:
+            log.write(f"{params['x']}:{'inline' if os.getpid() == test_pid else 'forked'}\n")
+        return _healthy_cell(scale, params)
+
+    monkeypatch.setattr(os, "fork", refuse_first_fork)
+    spec = synthetic("sup-refused", logged_cell)
+    journal = RunJournal.create(
+        scale=scale_to_dict(QUICK), jobs=1, specs=[spec.name],
+        run_id="refused", root=tmp_path,
+    )
+    report = execute([spec], QUICK, jobs=1, journal=journal,
+                     supervise=SupervisorConfig(max_retries=0))
+    journal.close()
+    assert report.failures == []
+    assert report.results[0].rows == [{"x": 0, "y": 0}, {"x": 1, "y": 10}]
+    assert ran.read_text().split() == ["0:inline", "1:forked"]
+    state = load_state(tmp_path / "refused")
+    first, second = (state.cell(spec.name, cell_key(spec, QUICK, Cell.make(x=x)))
+                     for x in (0, 1))
+    assert first.transitions == [
+        ("dispatched", 1), ("failed", 1), ("dispatched", 2), ("done", 2),
+    ]
+    assert first.worker == "inline"
+    [failed] = [r for r in state.records if r["t"] == "cell" and r["state"] == "failed"]
+    assert (failed["worker"], failed["kind"], failed["final"]) == ("cold", "fork-refused", False)
+    assert second.transitions == [("dispatched", 1), ("done", 1)]
+    assert second.worker == "cold"
 
 
 # ----------------------------------------------------------------------
@@ -402,6 +453,15 @@ def _children(pid):
     return found
 
 
+def _descendants(pid):
+    found, frontier = [], [pid]
+    while frontier:
+        children = _children(frontier.pop())
+        found.extend(children)
+        frontier.extend(children)
+    return found
+
+
 def _alive(pid):
     stat = _proc_stat(pid)
     return stat is not None and stat[0] not in ("Z", "X")  # zombies have exited
@@ -409,9 +469,8 @@ def _alive(pid):
 
 @pytest.mark.skipif(not Path("/proc/self/stat").exists(), reason="needs /proc")
 def test_cli_sigkill_leaves_no_orphaned_workers(tmp_path):
-    # kill -9 of the CLI never sends the pool its shutdown sentinel; every
-    # supervised worker must notice its parent is gone and exit, even in
-    # the middle of a cell.
+    # kill -9 of the CLI can stop none of its forked cells; every one must
+    # notice its parent is gone and exit, even in the middle of a cell.
     proc = subprocess.Popen(
         [
             sys.executable, "-m", "repro.experiments",
@@ -420,17 +479,21 @@ def test_cli_sigkill_leaves_no_orphaned_workers(tmp_path):
         ],
         env=_cli_env(tmp_path), stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL,
     )
-    workers = []
+    seen, most = set(), 0
     try:
         deadline = time.monotonic() + 60.0
-        while len(workers) < 2 and time.monotonic() < deadline:
+        while most < 2 and time.monotonic() < deadline:
             time.sleep(0.05)
-            workers = _children(proc.pid)
-        time.sleep(0.5)  # let both workers get into a cell
+            current = _descendants(proc.pid)
+            seen.update(current)
+            most = max(most, len(current))
+        time.sleep(0.5)  # let later cells get going too
+        seen.update(_descendants(proc.pid))
     finally:
         proc.send_signal(signal.SIGKILL)
         proc.wait(timeout=30)
-    assert len(workers) >= 2, "the --jobs 2 pool never started"
+    assert most >= 2, "no two cells ran at once under --jobs 2"
+    workers = sorted(seen)
     deadline = time.monotonic() + 5.0
     while any(_alive(pid) for pid in workers) and time.monotonic() < deadline:
         time.sleep(0.05)
@@ -461,17 +524,15 @@ def _wait_for(predicate, timeout_s, what):
         time.sleep(0.02)
 
 
-def test_cli_sigint_to_a_warm_run_drains_once_then_resumes(tmp_path):
-    # SIGINT to the whole process group reaches every leader and cell
-    # too; only the CLI may answer it.
+def _interrupt_then_resume(tmp_path, run_id, name, argv):
+    """SIGINT the process group of the CLI run ``argv`` once it journals a
+    done cell: one drain line, exit 3, ``suspended``; then resume it and
+    compare ``name``'s table with the recording."""
     env = _cli_env(tmp_path)
     out_dir = tmp_path / "out"
-    journal_path = tmp_path / "runs" / "zoo-int" / "journal.jsonl"
+    journal_path = tmp_path / "runs" / run_id / "journal.jsonl"
     proc = subprocess.Popen(
-        [
-            sys.executable, "-c", _TWO_UNIT_CLI,
-            "--only", "policy-zoo", "--run-id", "zoo-int", "--out", str(out_dir),
-        ],
+        [sys.executable, *argv, "--only", name, "--run-id", run_id, "--out", str(out_dir)],
         env=env, stdout=subprocess.DEVNULL, stderr=subprocess.PIPE, text=True,
         start_new_session=True,
     )
@@ -488,15 +549,23 @@ def test_cli_sigint_to_a_warm_run_drains_once_then_resumes(tmp_path):
             proc.wait()
     assert stderr.count("draining in-flight cells") == 1, stderr
     assert proc.returncode == 3, stderr
-    assert load_state(find_run("zoo-int", tmp_path / "runs")).end_state == "suspended"
+    assert load_state(find_run(run_id, tmp_path / "runs")).end_state == "suspended"
 
     done = subprocess.run(
-        [sys.executable, "-m", "repro.experiments", "--resume", "zoo-int", "--out", str(out_dir)],
+        [sys.executable, "-m", "repro.experiments", "--resume", run_id, "--out", str(out_dir)],
         env=env, capture_output=True, text=True, timeout=300,
     )
     assert done.returncode == 0, done.stderr
-    assert (out_dir / "policy-zoo.txt").read_bytes() == (
-        (GOLDEN / "policy-zoo.txt").read_bytes()
+    assert (out_dir / f"{name}.txt").read_bytes() == (GOLDEN / f"{name}.txt").read_bytes()
+
+
+def test_cli_sigint_to_a_warm_run_drains_once_then_resumes(tmp_path):
+    # SIGINT to the whole process group reaches every leader and cell
+    # too; only the CLI may answer it, warm or cold.
+    _interrupt_then_resume(tmp_path, "zoo-int", "policy-zoo", ["-c", _TWO_UNIT_CLI])
+    _interrupt_then_resume(
+        tmp_path, "fig13-int", "fig13",
+        ["-m", "repro.experiments", "--jobs", "2", "--no-cache"],
     )
 
 

@@ -7,8 +7,9 @@ test adds a bare simulator as the ``system`` to see when it digests).  Its
 cell saw a pristine prefix (fork isolation) however it was placed.
 
 Fault injection is sentinel-file based, as in ``test_supervision.py``:
-the first attempt drops a sentinel and raises inside the warm fork, and
-the inline retry finds it and succeeds.
+the first attempt drops a sentinel and fails inside the warm fork, and
+the cold retry finds it and succeeds.  Every cell forks, so a test that
+must tell the engine's own process apart compares pids.
 
 The engine keeps ``engine._warm_width()`` units (leader prefixes and
 cells) simulating at once across all groups; the budget tests patch that
@@ -27,14 +28,20 @@ import pytest
 
 from repro.experiments import engine, registry
 from repro.experiments.cache import CellCache
-from repro.experiments.engine import cell_key, execute, plan_resume, scale_to_dict
+from repro.experiments.engine import (
+    SupervisorConfig,
+    cell_key,
+    execute,
+    plan_resume,
+    scale_to_dict,
+)
 from repro.experiments.journal import RunJournal, load_state
 from repro.experiments.registry import Cell, ExperimentSpec, WarmupSpec
 from repro.experiments.runner import QUICK, ExperimentResult
 from repro.sim import Simulator
 
 #: (group, x) per cell: two warm groups of three and two cells, plus a
-#: single-cell group that saves nothing warm and so runs inline.
+#: single-cell group that saves nothing warm and so runs cold.
 GRID = [(0, 0), (0, 1), (0, 2), (1, 3), (1, 4), (2, 5)]
 
 
@@ -125,7 +132,7 @@ def test_warm_cold_and_pool_tables_are_identical(warm_spec):
     assert pool.results[0].to_text() == text
     assert warm.results[0].column("seen") == [1] * len(GRID), "forks isolate cells"
     assert cold.supervision.get("warm_cells", 0) == 0
-    assert pool.supervision.get("warm_cells", 0) == 0
+    assert pool.supervision["warm_cells"] == 5, "--jobs sizes the warm budget"
 
 
 def test_warm_tallies_count_groups_and_cells(warm_spec):
@@ -136,7 +143,7 @@ def test_warm_tallies_count_groups_and_cells(warm_spec):
     assert report.failures == []
 
 
-def test_single_cell_group_runs_inline(tmp_path, warm_spec):
+def test_single_cell_group_runs_cold(tmp_path, warm_spec):
     spec = warm_spec("warm-single")
     journal = _journal(tmp_path, spec, "single")
     execute([spec], QUICK, journal=journal)
@@ -145,11 +152,11 @@ def test_single_cell_group_runs_inline(tmp_path, warm_spec):
     assert workers == {
         0: "warm-g1", 1: "warm-g1", 2: "warm-g1",
         3: "warm-g2", 4: "warm-g2",
-        5: "inline",
+        5: "cold",
     }
 
 
-def test_finish_raising_once_falls_back_inline_as_a_retry(tmp_path, warm_spec):
+def test_finish_raising_once_is_retried_cold(tmp_path, warm_spec):
     sentinel = tmp_path / "raised"
 
     def raises_once(scale, params, ctx):
@@ -181,6 +188,7 @@ def test_finish_raising_once_falls_back_inline_as_a_retry(tmp_path, warm_spec):
     assert lines[1]["worker"] == "warm-g1"
     assert lines[1]["final"] is False
     assert "injected warm failure" in lines[1]["error"]
+    assert [line["worker"] for line in lines[2:]] == ["cold", "cold"]
 
 
 def test_finish_always_raising_is_one_collected_failure(warm_spec):
@@ -266,7 +274,7 @@ def _transitions(tmp_path, run_id, spec):
 
 
 def _assert_retried_alone(tmp_path, run_id, spec, report, error):
-    """Cell x=1 failed warm and was retried inline; the rest ran warm once."""
+    """Cell x=1 failed warm and was retried; the rest ran warm once."""
     assert report.failures == []
     assert report.supervision["warm_cells"] == 4
     assert report.results[0].column("y") == [100 * g + x for g, x in GRID]
@@ -318,7 +326,7 @@ def test_later_cells_finishing_first_change_nothing(tmp_path, monkeypatch, warm_
         assert transitions == serial_transitions == cold_transitions
 
 
-def test_killed_cell_is_retried_inline_while_its_siblings_finish_warm(
+def test_killed_cell_is_retried_cold_while_its_siblings_finish_warm(
     tmp_path, monkeypatch, warm_spec
 ):
     sentinel = tmp_path / "killed-once"
@@ -369,8 +377,9 @@ def test_failing_leader_kills_and_reaps_its_running_cells(tmp_path, monkeypatch,
     test_pid = os.getpid()
     real_fork = os.fork
 
-    def slow_when_forked(scale, params, ctx):
-        if os.getpid() != test_pid:
+    def slow_in_a_leaders_cell(scale, params, ctx):
+        # Only a cell a leader forked sleeps; the cold retries do not.
+        if test_pid not in (os.getpid(), os.getppid()):
             time.sleep(120)
         return _healthy_finish(scale, params, ctx)
 
@@ -388,9 +397,9 @@ def test_failing_leader_kills_and_reaps_its_running_cells(tmp_path, monkeypatch,
 
     _width(monkeypatch, 3)
     monkeypatch.setattr(os, "fork", fault_after_first_cell)
-    spec = warm_spec("warm-leader-fault", slow_when_forked)
-    # The sleeping cell holds the parent's pipe open, so only a leader
-    # that kills it lets the run end before the deadline.
+    spec = warm_spec("warm-leader-fault", slow_in_a_leaders_cell)
+    # The failing leader must kill and reap its sleeping cell before it
+    # exits, so that cell's pid is gone when the run returns.
     with _deadline(60):
         report = execute([spec], QUICK)
     assert report.failures == []
@@ -482,7 +491,9 @@ def test_no_more_than_w_prefixes_and_cells_run_at_once(tmp_path, monkeypatch, wa
         assert report.supervision["warm_cells"] == 5
         log = (probe / "log").read_text().splitlines()
         held = [int(line.split()[2]) for line in log if line.startswith("start ")]
-        assert len(held) == 7, log  # two prefixes and five cells
+        # Two prefixes and five warm cells, then the cold cell's own
+        # prefix and finish.
+        assert len(held) == 9, log
         assert max(held) <= width, log
         if width == 2:
             start_p1 = next(i for i, line in enumerate(log) if line.startswith("start p1 "))
@@ -590,3 +601,68 @@ def test_stop_request_finishes_started_groups_warm(tmp_path, monkeypatch, warm_s
     assert resumed.cached == 3
     serial = execute([spec], QUICK, warm_start=False)
     assert resumed.results[0].to_text() == serial.results[0].to_text()
+
+
+# ----------------------------------------------------------------------
+# supervision reaches warm groups: deadlines and cold retries
+# ----------------------------------------------------------------------
+def _states(tmp_path, run_id, spec, x):
+    record = _record(tmp_path, run_id, spec, x)
+    return record.transitions, record.worker
+
+
+def test_hung_warm_cell_is_killed_at_its_deadline_and_retried_cold(
+    tmp_path, monkeypatch, warm_spec
+):
+    sentinel = tmp_path / "hung-once"
+
+    def hangs_once(scale, params, ctx):
+        if params["x"] == 1 and not sentinel.exists():
+            sentinel.write_text("")
+            time.sleep(60)
+        return _healthy_finish(scale, params, ctx)
+
+    _width(monkeypatch, 2)
+    spec = warm_spec("warm-hung-cell", hangs_once)
+    journal = _journal(tmp_path, spec, "hung-cell")
+    with _deadline(60):
+        report = execute([spec], QUICK, journal=journal,
+                         supervise=SupervisorConfig(timeout_s=1.0))
+    journal.close()
+    assert report.failures == []
+    assert report.supervision["timeouts"] == 1
+    assert report.supervision["warm_cells"] == 4
+    cold = execute([spec], QUICK, warm_start=False)
+    assert report.results[0].to_text() == cold.results[0].to_text()
+    transitions, worker = _states(tmp_path, "hung-cell", spec, 1)
+    assert transitions == [("dispatched", 1), ("timeout", 1), ("dispatched", 2), ("done", 2)]
+    assert worker == "cold"
+
+
+def test_hung_prefix_kills_its_leader_and_its_cells_retry_cold(
+    tmp_path, monkeypatch, warm_spec
+):
+    sentinel = tmp_path / "hung-once"
+    test_pid = os.getpid()
+
+    def hangs_once(scale, group):
+        if group["g"] == 0 and os.getpid() != test_pid and not sentinel.exists():
+            sentinel.write_text("")
+            time.sleep(60)
+        return _prefix(scale, group)
+
+    _width(monkeypatch, 2)
+    spec = warm_spec("warm-hung-prefix", prefix=hangs_once)
+    journal = _journal(tmp_path, spec, "hung-prefix")
+    with _deadline(60):
+        report = execute([spec], QUICK, journal=journal,
+                         supervise=SupervisorConfig(timeout_s=1.0))
+    journal.close()
+    assert report.failures == []
+    assert report.supervision["warm_cells"] == 2, "group 2 still runs warm"
+    assert report.supervision["timeouts"] == 3, "one per cell of the killed group"
+    assert report.results[0].column("y") == [100 * g + x for g, x in GRID]
+    retried = [("dispatched", 1), ("timeout", 1), ("dispatched", 2), ("done", 2)]
+    assert [_states(tmp_path, "hung-prefix", spec, x) for x in (0, 1, 2)] == [
+        (retried, "cold")
+    ] * 3
