@@ -115,11 +115,6 @@ class CpuConfig:
         if not 0 < self.smt_share_factor <= 1:
             raise ConfigError("smt_share_factor must be in (0, 1]")
 
-    @property
-    def cycle_ns(self) -> float:
-        """Duration of one CPU cycle in nanoseconds."""
-        return 1.0 / self.freq_ghz
-
     def cycles_to_ns(self, cycles: float) -> float:
         return cycles / self.freq_ghz
 

@@ -38,7 +38,14 @@ from typing import Any, Callable, Dict, Iterator, List, Optional
 from repro.errors import SmuError
 from repro.mem.address import PAGE_SIZE
 from repro.sim import Counter, spawn
-from repro.vm.pte import PteStatus, decode_pte, is_anon_first_touch
+from repro.vm.pte import (
+    ANON_FIRST_TOUCH_LBA,
+    LBA_BIT,
+    LBA_FIELD_MASK,
+    LBA_SHIFT,
+    STATE_MASK,
+    decode_pte,
+)
 
 #: Bytes per leaf page-table entry.
 _PTE_SIZE = 8
@@ -94,10 +101,9 @@ class Prefetcher:
         free_queue = smu.kernel.free_queue_for(core_id)
         for target_addr in targets:
             value = page_table.read_entry(target_addr)
-            decoded = decode_pte(value)
-            if decoded.status is not PteStatus.NON_RESIDENT_HW:
-                continue
-            if is_anon_first_touch(decoded):
+            if value & STATE_MASK != LBA_BIT:
+                continue  # only NON_RESIDENT_HW entries are fetchable
+            if (value & LBA_FIELD_MASK) >> LBA_SHIFT == ANON_FIRST_TOUCH_LBA:
                 continue  # nothing to read for first-touch anonymous pages
             if smu.pmshr.lookup(target_addr) is not None:
                 continue  # already being fetched (demand or prefetch)
@@ -112,6 +118,7 @@ class Prefetcher:
             if pop.empty:
                 self.stats.add("dropped_no_frames")
                 break
+            decoded = decode_pte(value)
             entry = smu.pmshr.allocate(
                 target_addr,
                 walk.pmd_entry_addr,

@@ -354,15 +354,18 @@ class Smu:
     def _wait_for_io(self, thread: Any, io_done: Completion):
         """Wait for the device, optionally bounded by the §V I/O timeout.
 
-        Without a timeout the pipeline stalls for the whole device time.
+        Without a timeout the pipeline stalls for the whole device time:
+        the wait is ``thread.mwait`` itself, returned rather than wrapped.
         With one, a read outstanding past the deadline raises a timeout
         exception and the OS context-switches the thread out — trading the
         fault-path kernel cost for freed issue slots during very long I/O.
         """
         timeout_ns = self.config.smu.long_io_timeout_ns
         if timeout_ns is None:
-            yield from thread.mwait(io_done)
-            return
+            return thread.mwait(io_done)
+        return self._wait_for_io_bounded(thread, io_done, timeout_ns)
+
+    def _wait_for_io_bounded(self, thread: Any, io_done: Completion, timeout_ns: float):
         deadline = timer(self.sim, timeout_ns, "smu-io-timeout")
         index, _ = yield from thread.mwait(first_of(self.sim, io_done, deadline))
         if index == 0 or io_done.done:
@@ -446,10 +449,11 @@ class SmuComplex:
     def handle_miss(
         self, walk: WalkResult, decoded: Any, thread: Any
     ) -> Generator[Any, Any, Optional[int]]:
-        """Route the miss to the PTE's home SMU (the MMU's entry point)."""
-        smu = self.smu_for(decoded.socket_id)
-        pfn = yield from smu.handle_miss(walk, decoded, thread)
-        return pfn
+        """Route the miss to the PTE's home SMU (the MMU's entry point).
+
+        Returns that SMU's miss generator itself rather than wrapping it.
+        """
+        return self.smu_for(decoded.socket_id).handle_miss(walk, decoded, thread)
 
     def barrier(self, process: Any) -> Generator[Any, Any, None]:
         """munmap barrier across every socket's SMU."""

@@ -46,8 +46,12 @@ class LogicalCore:
         self.mmu = Mmu(sim, self.core_id)
         self.state = CoreState.IDLE
         self.bound_thread: Optional[Any] = None
+        #: The physical core's pollution state (L1/L2 and the branch
+        #: predictor are shared between hyperthreads).  A plain attribute:
+        #: every compute quantum and kernel phase reads it.
+        self.pollution: PollutionState = physical.pollution
         self._smt_share = physical.config.smt_share_factor
-        #: Sibling lanes, cached on first :meth:`smt_factor` call (the
+        #: Sibling lanes, cached on first :meth:`siblings` call (the
         #: physical core is still appending lanes while we construct).
         self._siblings: Optional[tuple] = None
 
@@ -66,22 +70,25 @@ class LogicalCore:
     def issuing(self) -> bool:
         return self.state in (CoreState.USER, CoreState.KERNEL)
 
-    def smt_factor(self) -> float:
-        """Throughput multiplier from SMT contention, for this logical core."""
+    def siblings(self) -> tuple:
+        """The other lanes of this physical core."""
         siblings = self._siblings
         if siblings is None:
             siblings = self._siblings = tuple(
                 lane for lane in self.physical.lanes if lane is not self
             )
-        for lane in siblings:
+        return siblings
+
+    def smt_factor(self) -> float:
+        """Throughput multiplier from SMT contention, for this logical core.
+
+        :meth:`repro.cpu.thread.ThreadContext.compute` inlines this test.
+        """
+        for lane in self.siblings():
             state = lane.state
             if state is CoreState.USER or state is CoreState.KERNEL:
                 return self._smt_share
         return 1.0
-
-    @property
-    def pollution(self) -> PollutionState:
-        return self.physical.pollution
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"<LogicalCore {self.core_id} {self.state.value}>"
@@ -109,8 +116,11 @@ class CpuComplex:
         self.physical_cores = [
             PhysicalCore(sim, config, core_id) for core_id in range(config.physical_cores)
         ]
-        #: Every logical core's TLB, in core order: the shootdown target set.
-        self._tlbs = tuple(lane.mmu.tlb for lane in self.logical_cores)
+        #: ``(tlb, its VPN map)`` for every logical core, in core order:
+        #: the shootdown target set.
+        self._tlbs = tuple(
+            (lane.mmu.tlb, lane.mmu.tlb._map) for lane in self.logical_cores
+        )
 
     @property
     def logical_cores(self) -> List[LogicalCore]:
@@ -122,10 +132,16 @@ class CpuComplex:
             raise ConfigError(f"logical core index {index} out of range")
         return cores[index]
 
+    # repro: hot-path
     def tlb_shootdown(self, vpn: int) -> int:
-        """Invalidate a translation everywhere; returns cores that had it."""
+        """Invalidate a translation everywhere; returns cores that had it.
+
+        Only the TLBs that hold ``vpn`` are asked: an eviction usually
+        finds it in one or two of them.
+        """
         count = 0
-        for tlb in self._tlbs:
-            if tlb.invalidate(vpn):
+        for tlb, cached in self._tlbs:
+            if vpn in cached:
+                tlb.invalidate(vpn)
                 count += 1
         return count

@@ -64,12 +64,6 @@ class PerfCounters:
     def total_instructions(self) -> float:
         return self.user_instructions + self.kernel_instructions
 
-    @property
-    def total_cycles(self) -> float:
-        return (
-            self.user_cycles + self.kernel_cycles + self.stall_cycles + self.blocked_cycles
-        )
-
     def misses_per_kinstr(self, event: str) -> float:
         if not self.user_instructions:
             return 0.0

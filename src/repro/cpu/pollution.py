@@ -33,10 +33,11 @@ _exp = math.exp
 class PollutionState:
     """Pollution scalar for one physical core.
 
-    The config constants are mirrored into instance floats at build time:
-    :meth:`decay` and :meth:`add_kernel_work` run once per compute quantum
-    / kernel phase, and the dataclass attribute chain costs real time at
-    that frequency.
+    The config constants are mirrored into instance floats at build time.
+    :meth:`decay` and :meth:`add_kernel_work` are the reference updates:
+    :class:`repro.cpu.thread.ThreadContext` inlines the same float
+    expressions into every compute quantum and kernel phase, and reads
+    ``value`` and the mirrored constants directly.
     """
 
     def __init__(self, config: CpuConfig):

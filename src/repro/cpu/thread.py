@@ -23,6 +23,7 @@ methods are simulation coroutines:
 
 from __future__ import annotations
 
+import math
 from typing import Any, Generator, Optional
 
 from repro.config import CpuConfig
@@ -42,6 +43,8 @@ _IDLE = CoreState.IDLE
 _USER = CoreState.USER
 _KERNEL = CoreState.KERNEL
 _STALLED = CoreState.STALLED
+
+_exp = math.exp
 
 
 class ThreadContext:
@@ -89,25 +92,39 @@ class ThreadContext:
     # ------------------------------------------------------------------
     # user execution
     # ------------------------------------------------------------------
+    # repro: hot-path
     def compute(self, instructions: float) -> Generator[Any, Any, None]:
-        """Retire ``instructions`` user instructions on this core."""
+        """Retire ``instructions`` user instructions on this core.
+
+        :meth:`LogicalCore.smt_factor` and :meth:`PollutionState.decay`
+        are inlined per quantum with the same float expressions.
+        """
         if instructions < 0:
             raise SimulationError(f"negative instruction count {instructions}")
         remaining = float(instructions)
         core = self.core
         pollution = core.pollution
+        siblings = core.siblings()
+        smt_share = core._smt_share
         perf = self.perf
         miss_events = perf.miss_events
         miss_tuples = self._miss_tuples
         freq = self._freq
         penalty = pollution._ipc_penalty
+        decay_instr = pollution._decay_instr
         # ``base * scale`` is the constant prefix of the IPC product; the
         # association ``((base * scale) * pollution) * smt`` matches the
         # original left-to-right fold bit for bit.
         scaled_base_ipc = self.cpu.base_user_ipc * self.ipc_scale
         while remaining > 0:
             chunk = min(remaining, COMPUTE_QUANTUM)
-            ipc = scaled_base_ipc * (1.0 - penalty * pollution.value) * core.smt_factor()
+            smt = 1.0
+            for lane in siblings:
+                state = lane.state
+                if state is _USER or state is _KERNEL:
+                    smt = smt_share
+                    break
+            ipc = scaled_base_ipc * (1.0 - penalty * pollution.value) * smt
             cycles = chunk / ipc
             core.state = _USER
             yield cycles / freq
@@ -117,7 +134,8 @@ class ThreadContext:
             value = pollution.value
             for event, base, sensitivity in miss_tuples:
                 miss_events[event] += kilo * (base * (1.0 + sensitivity * value))
-            pollution.decay(chunk)
+            # ``chunk`` is positive here, so the decay always applies.
+            pollution.value = value * _exp(-chunk / decay_instr)
             remaining -= chunk
         core.state = _IDLE
 
@@ -143,12 +161,18 @@ class ThreadContext:
     # ------------------------------------------------------------------
     # kernel-side charging (called by the OS model on this thread)
     # ------------------------------------------------------------------
+    # repro: hot-path
     def kernel_phase(self, ns: float, name: str = "") -> Generator[Any, Any, None]:
-        """Run one kernel phase of ``ns`` length in this thread's context."""
+        """Run one kernel phase of ``ns`` length in this thread's context.
+
+        :meth:`PollutionState.add_kernel_work` is inlined with the same
+        float expression.
+        """
         if ns <= 0:
             return
-        if self.active_span is not None:
-            self.active_span.event(self.sim.now, name, ns)
+        span = self.active_span
+        if span is not None:
+            span.event(self.sim.now, name, ns)
         core = self.core
         core.state = _KERNEL
         yield ns
@@ -157,7 +181,12 @@ class ThreadContext:
         perf = self.perf
         perf.kernel_instructions += instructions
         perf.kernel_cycles += cycles
-        core.pollution.add_kernel_work(instructions)
+        if instructions > 0:
+            pollution = core.pollution
+            value = pollution.value
+            pollution.value = value + (1.0 - value) * (
+                1.0 - _exp(-instructions / pollution._saturation_instr)
+            )
         core.state = _STALLED
 
     def block(self, signal: Signal) -> Generator[Any, Any, Any]:

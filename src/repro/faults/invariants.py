@@ -31,7 +31,7 @@ from dataclasses import dataclass, field
 from typing import Any, Dict, List
 
 from repro.errors import InvariantViolation
-from repro.vm.pte import decode_pte
+from repro.vm.pte import LBA_BIT, PFN_MASK, PFN_SHIFT, PRESENT_BIT
 
 
 @dataclass
@@ -119,23 +119,25 @@ def check_invariants(system: Any) -> InvariantReport:
     free = set(kernel.frame_pool._free)
     for process in kernel.processes:
         for vpn, value in process.page_table.iter_populated():
-            decoded = decode_pte(value)
-            if not decoded.present:
+            if not value & PRESENT_BIT:
                 continue
-            if decoded.pfn in free:
+            mapped = (value & PFN_MASK) >> PFN_SHIFT
+            if mapped in free:
                 note(
                     f"{process.name}: PTE for vpn {vpn:#x} maps freed frame "
-                    f"{decoded.pfn}"
+                    f"{mapped}"
                 )
-            if decoded.lba_bit and decoded.pfn not in tracked:
-                pending.add(decoded.pfn)
+            if value & LBA_BIT and mapped not in tracked:
+                pending.add(mapped)
     for pfn in sorted(kernel._page_info):
         page = kernel._page_info[pfn]
-        pte = decode_pte(page.process.page_table.get_pte(page.vaddr))
-        if not pte.present or pte.pfn != pfn:
+        value = page.process.page_table.get_pte(page.vaddr)
+        present = bool(value & PRESENT_BIT)
+        mapped = (value & PFN_MASK) >> PFN_SHIFT
+        if not present or mapped != pfn:
             note(
                 f"OS tracks PFN {pfn} at {page.vaddr:#x} but the PTE does not "
-                f"map it (present={pte.present} pfn={pte.pfn})"
+                f"map it (present={present} pfn={mapped})"
             )
     queued = sum(queue.occupancy for queue in kernel.iter_free_queues())
     used = kernel.frame_pool.used_frames

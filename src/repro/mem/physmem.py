@@ -21,6 +21,10 @@ class FramePool:
     def __init__(self, config: MemoryConfig):
         self.config = config
         self.total_frames = config.total_frames
+        #: The (frozen) config's watermarks, mirrored: every fault-path
+        #: frame allocation tests the low one.
+        self._low_watermark = config.low_watermark
+        self._high_watermark = config.high_watermark
         self._free: Deque[int] = deque(range(config.total_frames))
         self._free_set: Set[int] = set(self._free)
         #: Lifetime counters for experiments.
@@ -41,11 +45,11 @@ class FramePool:
 
     @property
     def below_low_watermark(self) -> bool:
-        return self.free_frames < self.config.low_watermark
+        return len(self._free) < self._low_watermark
 
     @property
     def below_high_watermark(self) -> bool:
-        return self.free_frames < self.config.high_watermark
+        return len(self._free) < self._high_watermark
 
     # ------------------------------------------------------------------
     def alloc(self) -> int:

@@ -143,9 +143,16 @@ def write_chrome_trace(sink: TraceSink, path: str) -> Dict[str, Any]:
 # ----------------------------------------------------------------------
 def run_timeline(state: Any) -> Dict[str, Any]:
     """Render a replayed run journal (:class:`repro.experiments.journal.RunState`)
-    as a Chrome trace: one track per worker, one slice per cell attempt
-    (``dispatched`` → ``done``/``failed``/``timeout``), one instant per
-    supervision note (worker deaths, signals, resumes, warm-prefix events).
+    as a Chrome trace: one slice per cell attempt (``dispatched`` →
+    ``done``/``failed``/``timeout``), one instant per supervision note
+    (worker deaths, signals, resumes, warm-prefix events).
+
+    A track can only nest complete events, and attempts on one worker may
+    overlap (every cold forked cell runs as worker ``cold``, up to
+    ``--jobs`` at once).  So each worker gets as many lanes as it has
+    overlapping attempts: ``cold``, ``cold #2``, … .  Attempts are placed
+    in start-time order, each on the first lane of its worker that is free
+    at its start, which makes the layout a function of the journal alone.
 
     This is the *host* timeline — wall-clock seconds since the run header,
     scaled to trace microseconds — and deliberately lives in a separate
@@ -164,17 +171,17 @@ def run_timeline(state: Any) -> Dict[str, Any]:
     ]
     tids: Dict[str, int] = {}
 
-    def tid_of(worker: str) -> int:
-        tid = tids.get(worker)
+    def tid_of(lane: str) -> int:
+        tid = tids.get(lane)
         if tid is None:
-            tid = tids[worker] = len(tids) + 1
+            tid = tids[lane] = len(tids) + 1
             events.append(
                 {
                     "ph": "M",
                     "name": "thread_name",
                     "pid": 1,
                     "tid": tid,
-                    "args": {"name": worker},
+                    "args": {"name": lane},
                 }
             )
         return tid
@@ -183,6 +190,9 @@ def run_timeline(state: Any) -> Dict[str, Any]:
         return (float(ts) - origin) * 1e6 if isinstance(ts, (int, float)) else 0.0
 
     open_attempts: Dict[tuple, Dict[str, Any]] = {}
+    #: (start us, end us, dispatched record, terminal record), journal order.
+    attempts: List[tuple] = []
+    notes: List[Dict[str, Any]] = []
     for record in state.records:
         kind = record.get("t")
         if kind == "cell":
@@ -192,24 +202,11 @@ def run_timeline(state: Any) -> Dict[str, Any]:
             elif slot in open_attempts:
                 start = open_attempts.pop(slot)
                 ts = rel_us(start.get("ts"))
-                events.append(
-                    {
-                        "ph": "X",
-                        "name": f"{record.get('experiment')}#{str(record.get('key'))[:8]}",
-                        "cat": record.get("state"),
-                        "ts": ts,
-                        "dur": max(0.0, rel_us(record.get("ts")) - ts),
-                        "pid": 1,
-                        "tid": tid_of(start.get("worker", "w?")),
-                        "args": {
-                            "state": record.get("state"),
-                            "attempt": record.get("attempt"),
-                            "error": record.get("error"),
-                        },
-                    }
+                attempts.append(
+                    (ts, max(ts, rel_us(record.get("ts"))), start, record)
                 )
         elif kind == "note":
-            events.append(
+            notes.append(
                 {
                     "ph": "i",
                     "name": record.get("name", "note"),
@@ -225,6 +222,37 @@ def run_timeline(state: Any) -> Dict[str, Any]:
                     },
                 }
             )
+
+    #: worker → end of the last attempt on each of its lanes.
+    lanes: Dict[str, List[float]] = {}
+    # A stable sort: attempts that start together keep their journal order.
+    for ts, end, start, record in sorted(attempts, key=lambda attempt: attempt[0]):
+        worker = start.get("worker", "w?")
+        busy_until = lanes.setdefault(worker, [])
+        for lane, until in enumerate(busy_until):
+            if until <= ts:
+                break
+        else:
+            lane = len(busy_until)
+            busy_until.append(end)
+        busy_until[lane] = end
+        events.append(
+            {
+                "ph": "X",
+                "name": f"{record.get('experiment')}#{str(record.get('key'))[:8]}",
+                "cat": record.get("state"),
+                "ts": ts,
+                "dur": end - ts,
+                "pid": 1,
+                "tid": tid_of(worker if lane == 0 else f"{worker} #{lane + 1}"),
+                "args": {
+                    "state": record.get("state"),
+                    "attempt": record.get("attempt"),
+                    "error": record.get("error"),
+                },
+            }
+        )
+    events.extend(notes)
     return {
         "traceEvents": events,
         "displayTimeUnit": "ms",
@@ -257,7 +285,9 @@ def validate_chrome_trace(data: Any) -> List[str]:
     Returns a list of problems — empty means the trace is well-formed
     (top-level object with a ``traceEvents`` list; every event has a
     ``ph``/``name``/``pid``/``tid``; timed events carry numeric ``ts`` and
-    ``X`` events a non-negative ``dur``).
+    ``X`` events a non-negative ``dur``; the ``X`` events of one
+    ``(pid, tid)`` track either nest or are disjoint, since viewers cannot
+    draw a partial overlap on one track).
     """
     problems: List[str] = []
     if not isinstance(data, dict):
@@ -265,6 +295,8 @@ def validate_chrome_trace(data: Any) -> List[str]:
     events = data.get("traceEvents")
     if not isinstance(events, list):
         return ["traceEvents must be a list"]
+    #: (pid, tid) → [(ts, end, index)] of the well-formed X events.
+    tracks: Dict[tuple, List[tuple]] = defaultdict(list)
     for index, event in enumerate(events):
         where = f"traceEvents[{index}]"
         if not isinstance(event, dict):
@@ -287,6 +319,36 @@ def validate_chrome_trace(data: Any) -> List[str]:
             dur = event.get("dur")
             if not isinstance(dur, (int, float)) or dur < 0:
                 problems.append(f"{where}: X event needs non-negative dur")
+            elif isinstance(ts, (int, float)):
+                tracks[(event.get("pid"), event.get("tid"))].append(
+                    (ts, ts + dur, index)
+                )
+    for (pid, tid), slices in tracks.items():
+        problems.extend(_partial_overlaps(pid, tid, slices))
+    return problems
+
+
+def _partial_overlaps(pid: Any, tid: Any, slices: List[tuple]) -> List[str]:
+    """Problems for ``X`` slices of one track that overlap without nesting.
+
+    Ends are compared with a tolerance of a few float ulps, so a slice that
+    starts where the last one ended (both converted from integer ns, say)
+    is not reported.
+    """
+    problems: List[str] = []
+    #: Enclosing slices, innermost last: (end, index).
+    stack: List[tuple] = []
+    for ts, end, index in sorted(slices, key=lambda item: (item[0], -item[1], item[2])):
+        slack = 1e-9 + 1e-12 * abs(end)
+        while stack and stack[-1][0] <= ts + slack:
+            stack.pop()
+        if stack and end > stack[-1][0] + slack:
+            problems.append(
+                f"traceEvents[{index}]: X event on pid {pid} tid {tid} starts "
+                f"inside traceEvents[{stack[-1][1]}] and ends after it"
+            )
+            continue
+        stack.append((end, index))
     return problems
 
 

@@ -34,7 +34,16 @@ from repro.mem.address import PAGE_SHIFT
 from repro.obs import trace as obs
 from repro.sim import Completion
 from repro.vm.page_table import WalkResult
-from repro.vm.pte import ANON_FIRST_TOUCH_LBA, PteStatus, decode_pte
+from repro.vm.pte import (
+    ANON_FIRST_TOUCH_LBA,
+    LBA_BIT,
+    PFN_MASK,
+    PFN_SHIFT,
+    PRESENT_BIT,
+    STATE_MASK,
+    PteStatus,
+    decode_pte,
+)
 
 
 class PageFaultHandler:
@@ -105,26 +114,23 @@ class PageFaultHandler:
 
         # Re-read the PTE: the page may have been installed while the
         # exception was delivered (e.g. the SMU completing a racing miss).
-        current = decode_pte(process.page_table.get_pte(vaddr))
-        if current.present:
+        current = process.page_table.get_pte(vaddr)
+        if current & PRESENT_BIT:
             kernel.counters.add("fault.spurious")
             span = thread.active_span
             if span is not None:
                 span.outcome = obs.SPURIOUS
             yield from thread.kernel_phase(self.costs.pte_update_return_ns, "return")
-            return current.pfn
+            return (current & PFN_MASK) >> PFN_SHIFT
 
-        if (
-            self.sw_pmshr is not None
-            and vma.is_fastmap
-            and current.status is PteStatus.NON_RESIDENT_HW
-        ):
+        # PRESENT clear and LBA set: NON_RESIDENT_HW.
+        refill = current & STATE_MASK == LBA_BIT
+        if refill and self.sw_pmshr is not None and vma.is_fastmap:
             # Early LBA-bit check (§VI-A): jump to the SMU emulation, which
             # coalesces in the emulated PMSHR rather than the in-flight map.
-            pfn = yield from self._swdp_fault(thread, vaddr, vma, current)
+            pfn = yield from self._swdp_fault(thread, vaddr, vma, decode_pte(current))
             return pfn
 
-        refill = current.status is PteStatus.NON_RESIDENT_HW
         if refill:
             span = thread.active_span
             if span is not None:
@@ -172,9 +178,12 @@ class PageFaultHandler:
         self._inflight[key] = completion
         pfn = None
         try:
-            decoded = decode_pte(thread.process.page_table.get_pte(vaddr))
-            swap_lba = self._anon_swap_lba(vma, decoded)
-            if vma.is_file_backed or swap_lba is not None:
+            swap_lba = None
+            if vma.file is None:
+                swap_lba = self._anon_swap_lba(
+                    decode_pte(thread.process.page_table.get_pte(vaddr))
+                )
+            if vma.file is not None or swap_lba is not None:
                 pfn = yield from self._major_fault(
                     thread, vaddr, vma, refill_queue, swap_lba=swap_lba
                 )
@@ -188,15 +197,13 @@ class PageFaultHandler:
             completion.fire(pfn)
         return pfn
 
-    def _anon_swap_lba(self, vma: Any, decoded: Any):
+    def _anon_swap_lba(self, decoded: Any):
         """LBA backing a swapped-out anonymous page, or None.
 
         Two encodings exist: LBA-augmented PTEs (the §V hardware extension)
         and conventional swap PTEs (the OSDP path, swap offset biased by
         one in the PFN field).
         """
-        if vma.is_file_backed:
-            return None
         if (
             decoded.status is PteStatus.NON_RESIDENT_HW
             and decoded.lba != ANON_FIRST_TOUCH_LBA
@@ -252,7 +259,7 @@ class PageFaultHandler:
         command = None
         for attempt in range(1 + resilience.os_io_retries):
             yield from thread.kernel_phase(costs.io_submit_ns, "io_submit")
-            io_done = kernel.blockio.submit_read(nsid, lba, dma_addr=pfn)
+            io_done = kernel.blockio.submit_read(nsid, lba, pfn)
 
             # The switch-out overlaps the device I/O (it happens after the
             # doorbell), as does the fallback path's queue refill (§IV-D).

@@ -225,50 +225,48 @@ class Kernel:
         LBA-augmented PTE (§IV-B eviction rule); otherwise the PTE is
         cleared like any dropped clean file page.
         """
-        process = page.process
-        table = process.page_table
-        current = table.get_pte(page.vaddr)
-        if not current & PRESENT_BIT or (current & PFN_MASK) >> PFN_SHIFT != page.pfn:
+        table = page.process.page_table
+        vaddr = page.vaddr
+        pfn = page.pfn
+        file = page.file
+        current = table.get_pte(vaddr)
+        if not current & PRESENT_BIT or (current & PFN_MASK) >> PFN_SHIFT != pfn:
             raise KernelError(
-                f"evicting PFN {page.pfn} but PTE({page.vaddr:#x}) does not map it"
+                f"evicting PFN {pfn} but PTE({vaddr:#x}) does not map it"
             )
-        if page.dirty and page.file is not None:
+        if page.dirty and file is not None:
             # Writeback before drop (fire-and-forget; the device write
             # contends with reads, which is the behaviour that matters).
-            lba = page.file.lba_of_page(page.file_page)
-            self.blockio.submit_write(
-                page.file.nsid, lba, dma_addr=page.pfn, context=page.file
-            )
+            lba = file.lba_of_page(page.file_page)
+            self.blockio.submit_write(file.nsid, lba, pfn, file)
             self.counters.add("reclaim.writebacks")
             page.dirty = False
         if self.mode is not PagingMode.OSDP and page.vma.is_fastmap:
-            if page.file is not None:
-                lba = page.file.lba_of_page(page.file_page)
+            if file is not None:
+                lba = file.lba_of_page(page.file_page)
             else:
                 # §V anonymous extension: swap the page out and record the
                 # swap LBA so the SMU can fault it back in.
                 swap_page = self._alloc_swap_page()
                 lba = self.swap_file.lba_of_page(swap_page)
-                self.blockio.submit_write(
-                    self.swap_file.nsid, lba, dma_addr=page.pfn, context=self.swap_file
-                )
+                self.blockio.submit_write(self.swap_file.nsid, lba, pfn, self.swap_file)
                 self.counters.add("reclaim.anon_swapped")
-            table.set_pte(page.vaddr, evict_to_lba(current, lba))
+            table.set_pte(vaddr, evict_to_lba(current, lba))
             self.counters.add("reclaim.lba_augmented")
-        elif page.file is None:
+        elif file is None:
             # Conventional anonymous swap-out: the swap offset (biased by
             # one so an empty PTE stays distinguishable) goes in the PTE.
             swap_page = self._alloc_swap_page()
             self.blockio.submit_write(
                 self.swap_file.nsid,
                 self.swap_file.lba_of_page(swap_page),
-                dma_addr=page.pfn,
-                context=self.swap_file,
+                pfn,
+                self.swap_file,
             )
-            table.set_pte(page.vaddr, make_swap_pte(swap_page + 1))
+            table.set_pte(vaddr, make_swap_pte(swap_page + 1))
             self.counters.add("reclaim.anon_swapped")
         else:
-            table.set_pte(page.vaddr, 0)
+            table.set_pte(vaddr, 0)
         # Unmap the rest of the reverse map (other VMAs mapping the frame).
         for other_process, other_vma, other_vaddr in page.extra_mappings:
             other_table = other_process.page_table
@@ -287,14 +285,14 @@ class Kernel:
                     other_table.set_pte(other_vaddr, 0)
             self.cpu_complex.tlb_shootdown(other_vaddr >> PAGE_SHIFT)
         page.extra_mappings.clear()
-        if page.file is not None:
-            self.page_cache.remove(page.file, page.file_page)
-        self.cpu_complex.tlb_shootdown(page.vpn)
+        if file is not None:
+            self.page_cache.remove(file, page.file_page)
+        self.cpu_complex.tlb_shootdown(vaddr >> PAGE_SHIFT)
         sanitizer = self.sim.sanitizer
         if sanitizer is not None:
             sanitizer.note("kernel.page_info", "write")
-        self._page_info.pop(page.pfn, None)
-        self.frame_pool.free(page.pfn)
+        self._page_info.pop(pfn, None)
+        self.frame_pool.free(pfn)
         self.counters.add("reclaim.evicted")
 
     # ==================================================================
@@ -368,14 +366,7 @@ class Kernel:
     ) -> None:
         file = vma.file
         file_page = vma.file_page_of(vaddr) if file is not None else None
-        page = PageInfo(
-            pfn=pfn,
-            process=process,
-            vma=vma,
-            vaddr=vaddr,
-            file=file,
-            file_page=file_page,
-        )
+        page = PageInfo(pfn, process, vma, vaddr, file, file_page)
         sanitizer = self.sim.sanitizer
         if sanitizer is not None:
             sanitizer.note("kernel.page_info", "write")

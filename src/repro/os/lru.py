@@ -54,12 +54,6 @@ class PageInfo:
     def vpn(self) -> int:
         return self.vaddr >> 12
 
-    def all_mappings(self):
-        """Every (process, vma, vaddr) mapping this frame — the rmap."""
-        yield (self.process, self.vma, self.vaddr)
-        for mapping in self.extra_mappings:
-            yield mapping
-
     @property
     def mapcount(self) -> int:
         return 1 + len(self.extra_mappings)
@@ -98,11 +92,12 @@ class LruLists(ReclaimPolicy):
     # ------------------------------------------------------------------
     def insert(self, page: PageInfo) -> None:
         """New resident page enters the inactive tail."""
-        if self.contains(page.pfn):
-            raise KernelError(f"PFN {page.pfn} already on an LRU list")
+        pfn = page.pfn
+        if pfn in self._inactive or pfn in self._active:
+            raise KernelError(f"PFN {pfn} already on an LRU list")
         page.active = False
         page.referenced = False
-        self._inactive[page.pfn] = page
+        self._inactive[pfn] = page
         self.insertions += 1
 
     def touch(self, pfn: int) -> None:
@@ -140,27 +135,27 @@ class LruLists(ReclaimPolicy):
         Pinned pages rotate back untouched.
         """
         victims: List[PageInfo] = []
+        inactive = self._inactive
+        active = self._active
         rotations = 0
-        limit = 2 * (len(self._inactive) + len(self._active)) + count
+        limit = 2 * (len(inactive) + len(active)) + count
         while len(victims) < count and rotations < limit:
             rotations += 1
-            if self._inactive:
-                pfn, page = next(iter(self._inactive.items()))
-                del self._inactive[pfn]
+            if inactive:
+                pfn, page = inactive.popitem(last=False)
                 if page.pinned:
-                    self._inactive[pfn] = page
+                    inactive[pfn] = page
                     continue
                 if page.referenced:
                     page.referenced = False
-                    self._inactive[pfn] = page  # second chance: back to tail
+                    inactive[pfn] = page  # second chance: back to tail
                     continue
                 victims.append(page)
-            elif self._active:
-                pfn, page = next(iter(self._active.items()))
-                del self._active[pfn]
+            elif active:
+                pfn, page = active.popitem(last=False)
                 page.active = False
                 page.referenced = False
-                self._inactive[pfn] = page  # demote, next pass may take it
+                inactive[pfn] = page  # demote, next pass may take it
             else:
                 break
         self.reclaims += len(victims)

@@ -18,26 +18,24 @@ class PageCache:
     """A dictionary-shaped radix tree."""
 
     def __init__(self) -> None:
+        #: ``(file.ino, page_index)`` → PFN, the key built inline at each
+        #: call.  Inode numbers are per-filesystem sequential and identical
+        #: across processes; id() here would poison cross-process
+        #: checkpoint digests.
         self._pages: Dict[Tuple[int, int], int] = {}
         self.lookups = 0
         self.hits = 0
 
-    @staticmethod
-    def _key(file: File, page_index: int) -> Tuple[int, int]:
-        # Inode numbers are per-filesystem sequential and identical across
-        # processes; id() here would poison cross-process checkpoint digests.
-        return (file.ino, page_index)
-
     def lookup(self, file: File, page_index: int) -> Optional[int]:
         """Return the cached PFN for a file page, or None."""
         self.lookups += 1
-        pfn = self._pages.get(self._key(file, page_index))
+        pfn = self._pages.get((file.ino, page_index))
         if pfn is not None:
             self.hits += 1
         return pfn
 
     def insert(self, file: File, page_index: int, pfn: int) -> None:
-        key = self._key(file, page_index)
+        key = (file.ino, page_index)
         existing = self._pages.get(key)
         if existing is not None and existing != pfn:
             raise KernelError(
@@ -47,7 +45,7 @@ class PageCache:
         self._pages[key] = pfn
 
     def remove(self, file: File, page_index: int) -> Optional[int]:
-        return self._pages.pop(self._key(file, page_index), None)
+        return self._pages.pop((file.ino, page_index), None)
 
     def __len__(self) -> int:
         return len(self._pages)

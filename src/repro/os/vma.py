@@ -14,7 +14,7 @@ from typing import List, Optional
 
 from repro.config import PAGE_SIZE
 from repro.errors import KernelError
-from repro.mem.address import page_align_up, page_number
+from repro.mem.address import PAGE_SHIFT, VA_LIMIT, check_vaddr, page_align_up, page_number
 from repro.os.filesystem import File
 
 
@@ -58,15 +58,25 @@ class Vma:
         return self.file is not None
 
     def contains(self, vaddr: int) -> bool:
-        return self.start <= vaddr < self.end
+        start = self.start
+        return start <= vaddr < start + self.num_pages * PAGE_SIZE
 
     def file_page_of(self, vaddr: int) -> int:
-        """File page index backing ``vaddr``."""
-        if not self.contains(vaddr):
-            raise KernelError(f"{vaddr:#x} outside VMA [{self.start:#x}, {self.end:#x})")
+        """File page index backing ``vaddr``.
+
+        The checks of :meth:`contains` and :func:`page_number` are inlined:
+        every file-backed fault and install calls this.
+        """
+        start = self.start
+        if not start <= vaddr < start + self.num_pages * PAGE_SIZE:
+            raise KernelError(f"{vaddr:#x} outside VMA [{start:#x}, {self.end:#x})")
         if self.file is None:
             raise KernelError("anonymous VMA has no file pages")
-        return self.file_page_offset + (page_number(vaddr) - page_number(self.start))
+        if vaddr >= VA_LIMIT or start < 0:
+            # Both addresses must lie in the VA space, as page_number checks.
+            check_vaddr(vaddr)
+            check_vaddr(start)
+        return self.file_page_offset + ((vaddr >> PAGE_SHIFT) - (start >> PAGE_SHIFT))
 
     def vaddr_of_file_page(self, file_page: int) -> int:
         """Virtual address mapping ``file_page`` (inverse of file_page_of)."""

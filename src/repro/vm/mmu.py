@@ -26,11 +26,12 @@ from repro.mem.address import PAGE_SHIFT
 from repro.sim import Simulator
 from repro.vm.page_table import WalkResult
 from repro.vm.pte import (
+    LBA_BIT,
     PFN_MASK,
     PFN_SHIFT,
     PRESENT_BIT,
+    STATE_MASK,
     WRITABLE_BIT,
-    PteStatus,
     decode_pte,
 )
 from repro.vm.tlb import Tlb
@@ -112,8 +113,10 @@ class Mmu:
             self.tlb.fill(vpn, pfn, writable)
             return Translation(pfn, TranslationKind.WALK)
 
-        decoded = decode_pte(pte)
-        if decoded.status is PteStatus.NON_RESIDENT_HW and self.smu is not None:
+        if pte & STATE_MASK == LBA_BIT and self.smu is not None:
+            # NON_RESIDENT_HW: a hardware page miss, the one branch that
+            # hands the SMU the decoded storage location.
+            decoded = decode_pte(pte)
             started = self.sim.now
             self._check_protection(decoded, vpn, is_write)
             pfn = yield from self.smu.handle_miss(walk, decoded, thread)
@@ -135,22 +138,24 @@ class Mmu:
 
         started = self.sim.now
         pfn = yield from self._os_fault(thread, vaddr, walk, is_write)
-        installed = decode_pte(page_table.get_pte(vaddr))
-        self.tlb.fill(vpn, pfn, installed.writable if installed.present else True)
-        return Translation(
-            pfn, TranslationKind.OS_FAULT, miss_latency_ns=self.sim.now - started
+        installed = page_table.get_pte(vaddr)
+        self.tlb.fill(
+            vpn, pfn, bool(installed & WRITABLE_BIT) if installed & PRESENT_BIT else True
         )
+        return Translation(pfn, TranslationKind.OS_FAULT, self.sim.now - started)
 
     # ------------------------------------------------------------------
     def _os_fault(
         self, thread: Any, vaddr: int, walk: WalkResult, is_write: bool
     ) -> Generator[Any, Any, int]:
-        if self.fault_handler is None:
+        """The fault handler's generator itself, not a wrapper around it:
+        every resume of a fault path crosses one generator frame fewer."""
+        handler = self.fault_handler
+        if handler is None:
             raise SimulationError(
                 f"MMU {self.core_id}: page fault at {vaddr:#x} but no fault handler installed"
             )
-        pfn = yield from self.fault_handler(thread, vaddr, walk, is_write)
-        return pfn
+        return handler(thread, vaddr, walk, is_write)
 
     @staticmethod
     def _check_protection(decoded: Any, vpn: int, is_write: bool) -> None:
@@ -160,6 +165,3 @@ class Mmu:
     # ------------------------------------------------------------------
     def invalidate(self, vpn: int) -> bool:
         return self.tlb.invalidate(vpn)
-
-    def flush_tlb(self) -> None:
-        self.tlb.flush()

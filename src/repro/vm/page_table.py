@@ -10,6 +10,13 @@ Upper-level entries (PGD/PUD/PMD) are encoded with the same bit layout as
 leaf PTEs: PRESENT set, the PFN field holding the child table's page number,
 and the LBA bit carrying Table I's "lower levels hold hardware-handled PTEs
 awaiting OS metadata sync" meaning.
+
+The host-side lookup is flattened like NDPage's last-level index: every
+allocated leaf table is also indexed by ``vaddr >> 21`` together with the
+addresses of the PMD and PUD entries above it, so a leaf access is one dict
+probe rather than a three-level descent.  Table pages are never freed, so
+the index only grows.  The modelled walk (its latency, the entry addresses
+the SMU receives) is unchanged.
 """
 
 from __future__ import annotations
@@ -26,7 +33,7 @@ from repro.mem.address import (
     VA_LIMIT,
     level_index,
 )
-from repro.vm.pte import LBA_BIT, PRESENT_BIT, make_present_pte
+from repro.vm.pte import LBA_BIT, PRESENT_BIT, STATE_MASK, make_present_pte
 
 #: Synthetic physical address region where page-table pages live, far above
 #: any data frame (data frames are small integers).  Keeping table pages in
@@ -54,9 +61,6 @@ class _TableNode:
         self.entries: List[int] = [0] * ENTRIES_PER_TABLE
         #: index → child node, only for levels > 0.
         self.children: Dict[int, "_TableNode"] = {}
-
-    def entry_addr(self, index: int) -> int:
-        return self.base_addr + index * 8
 
 
 @dataclass(slots=True)
@@ -92,6 +96,10 @@ class PageTable:
         self.root = self._new_node(LEVELS - 1)
         #: base_addr → node, for physical-address entry access by the SMU.
         self._nodes_by_base: Dict[int, _TableNode] = {self.root.base_addr: self.root}
+        #: ``vaddr >> 21`` → (leaf table, PMD-entry address, PUD-entry
+        #: address) for every allocated leaf table; filled by
+        #: :meth:`_new_leaf`, never shrunk (table pages are never freed).
+        self._leaves: Dict[int, Tuple[_TableNode, int, int]] = {}
         #: Counters for the §IV-B space-overhead discussion.
         self.table_pages_allocated = 1
         self.populated_ptes = 0
@@ -108,9 +116,10 @@ class PageTable:
         self._next_table_page += 1
         return _TableNode(level, base)
 
-    def _child(self, node: _TableNode, index: int, create: bool) -> Optional[_TableNode]:
+    def _child(self, node: _TableNode, index: int) -> _TableNode:
+        """``node``'s child at ``index``, allocated when missing."""
         child = node.children.get(index)
-        if child is None and create:
+        if child is None:
             child = self._new_node(node.level - 1)
             node.children[index] = child
             self._nodes_by_base[child.base_addr] = child
@@ -121,20 +130,49 @@ class PageTable:
             )
         return child
 
+    def _new_leaf(self, vaddr: int) -> Tuple[_TableNode, int, int]:
+        """Allocate the tables down to ``vaddr``'s leaf and index the leaf."""
+        if not 0 <= vaddr < VA_LIMIT:
+            raise AddressError(f"virtual address {vaddr:#x} outside {VA_BITS}-bit space")
+        pud_table = self._child(self.root, (vaddr >> 39) & 511)
+        index = (vaddr >> 30) & 511
+        pud_entry_addr = pud_table.base_addr + index * 8
+        pmd_table = self._child(pud_table, index)
+        index = (vaddr >> 21) & 511
+        pmd_entry_addr = pmd_table.base_addr + index * 8
+        leaf = self._child(pmd_table, index)
+        indexed = self._leaves[vaddr >> 21] = (leaf, pmd_entry_addr, pud_entry_addr)
+        return indexed
+
     # ------------------------------------------------------------------
     # walking
     # ------------------------------------------------------------------
+    # repro: hot-path
     def walk(self, vaddr: int) -> WalkResult:
         """Walk the radix tree; never allocates tables.
 
-        The four radix levels are unrolled with the index extraction
-        inlined (one shift/mask per level): this runs once per TLB miss
-        and is the VM layer's hottest function.
+        An address with a leaf table takes one probe of the leaf index;
+        only an address without one descends, to report how far the walk
+        got.  This runs once per TLB miss and is the VM layer's hottest
+        function.
         """
+        indexed = self._leaves.get(vaddr >> 21)
+        if indexed is not None:
+            leaf, pmd_entry_addr, pud_entry_addr = indexed
+            index = (vaddr >> 12) & 511
+            return WalkResult(
+                vaddr,
+                leaf.entries[index],
+                leaf.base_addr + index * 8,
+                pmd_entry_addr,
+                pud_entry_addr,
+                4,
+            )
+        # Index keys are non-negative and below ``VA_LIMIT >> 21``, so an
+        # out-of-range address always lands here.
         if not 0 <= vaddr < VA_LIMIT:
             raise AddressError(f"virtual address {vaddr:#x} outside {VA_BITS}-bit space")
-        node = self.root  # PGD (level 3)
-        pud_table = node.children.get((vaddr >> 39) & 511)
+        pud_table = self.root.children.get((vaddr >> 39) & 511)
         if pud_table is None:
             return WalkResult(vaddr, 0, None, None, None, 1)
         index = (vaddr >> 30) & 511
@@ -142,69 +180,40 @@ class PageTable:
         pmd_table = pud_table.children.get(index)
         if pmd_table is None:
             return WalkResult(vaddr, 0, None, None, pud_entry_addr, 2)
-        index = (vaddr >> 21) & 511
-        pmd_entry_addr = pmd_table.base_addr + index * 8
-        leaf = pmd_table.children.get(index)
-        if leaf is None:
-            return WalkResult(vaddr, 0, None, pmd_entry_addr, pud_entry_addr, 3)
-        index = (vaddr >> 12) & 511
-        return WalkResult(
-            vaddr,
-            leaf.entries[index],
-            leaf.base_addr + index * 8,
-            pmd_entry_addr,
-            pud_entry_addr,
-            4,
-        )
+        pmd_entry_addr = pmd_table.base_addr + ((vaddr >> 21) & 511) * 8
+        return WalkResult(vaddr, 0, None, pmd_entry_addr, pud_entry_addr, 3)
 
+    # repro: hot-path
     def get_pte(self, vaddr: int) -> int:
         """Raw leaf PTE value (0 when unmapped).
 
-        Descends like :meth:`walk` but returns the bare entry, without
-        building a :class:`WalkResult`: the OS reads PTEs this way on every
-        eviction, install and fault.
+        One probe of the leaf index, without building a
+        :class:`WalkResult`: the OS reads PTEs this way on every eviction,
+        install and fault.
         """
-        if not 0 <= vaddr < VA_LIMIT:
-            raise AddressError(f"virtual address {vaddr:#x} outside {VA_BITS}-bit space")
-        node = self.root.children.get((vaddr >> 39) & 511)
-        if node is None:
+        indexed = self._leaves.get(vaddr >> 21)
+        if indexed is None:
+            if not 0 <= vaddr < VA_LIMIT:
+                raise AddressError(
+                    f"virtual address {vaddr:#x} outside {VA_BITS}-bit space"
+                )
             return 0
-        node = node.children.get((vaddr >> 30) & 511)
-        if node is None:
-            return 0
-        node = node.children.get((vaddr >> 21) & 511)
-        if node is None:
-            return 0
-        return node.entries[(vaddr >> 12) & 511]
+        return indexed[0].entries[(vaddr >> 12) & 511]
 
     # ------------------------------------------------------------------
     # mutation
     # ------------------------------------------------------------------
+    # repro: hot-path
     def set_pte(self, vaddr: int, value: int) -> WalkResult:
         """Write the leaf PTE, allocating intermediate tables as needed."""
         if self._sanitizer is not None:
             self._sanitizer.note_write(self)
-        if not 0 <= vaddr < VA_LIMIT:
-            raise AddressError(f"virtual address {vaddr:#x} outside {VA_BITS}-bit space")
-        # Unrolled like :meth:`walk`; the inline ``children.get`` probe
-        # keeps the common already-allocated descent free of method calls.
-        node = self.root
-        index = (vaddr >> 39) & 511
-        child = node.children.get(index)
-        if child is None:
-            child = self._child(node, index, True)
-        index = (vaddr >> 30) & 511
-        pud_entry_addr = child.base_addr + index * 8
-        node, child = child, child.children.get(index)
-        if child is None:
-            child = self._child(node, index, True)
-        index = (vaddr >> 21) & 511
-        pmd_entry_addr = child.base_addr + index * 8
-        node, child = child, child.children.get(index)
-        if child is None:
-            child = self._child(node, index, True)
+        indexed = self._leaves.get(vaddr >> 21)
+        if indexed is None:
+            indexed = self._new_leaf(vaddr)
+        leaf, pmd_entry_addr, pud_entry_addr = indexed
         index = (vaddr >> 12) & 511
-        entries = child.entries
+        entries = leaf.entries
         was_populated = entries[index] != 0
         entries[index] = value
         if value != 0 and not was_populated:
@@ -214,7 +223,7 @@ class PageTable:
         return WalkResult(
             vaddr,
             value,
-            child.base_addr + index * 8,
+            leaf.base_addr + index * 8,
             pmd_entry_addr,
             pud_entry_addr,
             LEVELS,
@@ -295,6 +304,7 @@ class PageTable:
         plus visit counts for cost accounting.
         """
         report = ScanReport()
+        pending = report.pending
         for pgd_index, pud_table in sorted(self.root.children.items()):
             for pud_index in list(pud_table.children.keys()):
                 report.upper_visited += 1
@@ -308,12 +318,18 @@ class PageTable:
                         continue
                     pmd_table.entries[pmd_index] &= ~LBA_BIT
                     leaf = pmd_table.children[pmd_index]
-                    for pte_index in range(ENTRIES_PER_TABLE):
-                        value = leaf.entries[pte_index]
-                        report.ptes_visited += 1
-                        if value & PRESENT_BIT and value & LBA_BIT:
-                            vpn = self._vpn_of(pgd_index, pud_index, pmd_index, pte_index)
-                            report.pending.append((vpn, leaf.entry_addr(pte_index)))
+                    # The whole leaf in one pass: PRESENT and LBA both set
+                    # is RESIDENT_PENDING_SYNC.
+                    vpn_base = self._vpn_of(pgd_index, pud_index, pmd_index, 0)
+                    base_addr = leaf.base_addr
+                    pending.extend(
+                        [
+                            (vpn_base | pte_index, base_addr + pte_index * 8)
+                            for pte_index, value in enumerate(leaf.entries)
+                            if value & STATE_MASK == STATE_MASK
+                        ]
+                    )
+                    report.ptes_visited += ENTRIES_PER_TABLE
         return report
 
     @staticmethod

@@ -1,6 +1,8 @@
 """Tests for the CPU layer: pollution, perf counters, SMT cores, threads."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.config import CpuConfig
 from repro.cpu import (
@@ -11,9 +13,11 @@ from repro.cpu import (
     ThreadContext,
     aggregate,
 )
+from repro.cpu.thread import COMPUTE_QUANTUM
 from repro.errors import ConfigError
 from repro.sim import Completion, Simulator, spawn
 from repro.vm import PageTable
+from repro.vm.tlb import Tlb
 
 
 class FakeProcess:
@@ -165,18 +169,26 @@ class TestCores:
         assert complex_.tlb_shootdown(5) == 2
         assert complex_.tlb_shootdown(5) == 0
 
-    def test_tlb_shootdown_equals_per_lane_invalidate(self):
-        # The shootdown walks a TLB tuple cached at construction; it must
-        # match invalidating through every lane's MMU, count and contents.
+    def test_tlb_shootdown_equals_per_lane_invalidate(self, monkeypatch):
+        # The shootdown walks a TLB tuple cached at construction and asks
+        # only the TLBs that hold the VPN; it must match invalidating
+        # through every lane's MMU, count and contents.
         config = CpuConfig(physical_cores=4, smt_ways=2)
         fast, slow = CpuComplex(Simulator(), config), CpuComplex(Simulator(), config)
         for complex_ in (fast, slow):
             for index, lane in enumerate(complex_.logical_cores):
                 for vpn in range(index % 3, 12, 2):
                     lane.mmu.tlb.fill(vpn, 100 + vpn, index % 2 == 0)
+        asked = []
+        invalidate = Tlb.invalidate
+        monkeypatch.setattr(
+            Tlb, "invalidate", lambda tlb, vpn: asked.append(tlb) or invalidate(tlb, vpn)
+        )
         for vpn in (0, 3, 4, 7, 11, 40, 3):
             expected = sum(1 for lane in slow.logical_cores if lane.mmu.invalidate(vpn))
+            asked.clear()
             assert fast.tlb_shootdown(vpn) == expected
+            assert len(asked) == expected, "only TLBs holding the VPN are asked"
             for got, want in zip(fast.logical_cores, slow.logical_cores):
                 assert list(got.mmu.tlb._map.items()) == list(want.mmu.tlb._map.items())
                 assert got.mmu.tlb.invalidations == want.mmu.tlb.invalidations
@@ -308,3 +320,91 @@ class TestThreadKernelAndBlock:
         spawn(sim, body())
         sim.run()
         assert thread.perf.stall_cycles == pytest.approx(thread.cpu.ns_to_cycles(100.0))
+
+
+# ----------------------------------------------------------------------
+# the inlined pollution and SMT math against the helpers it inlines
+# ----------------------------------------------------------------------
+class _ReferenceThread(ThreadContext):
+    """``compute``/``kernel_phase`` written through the helpers they
+    inline: :meth:`LogicalCore.smt_factor`, :meth:`PollutionState.decay`
+    and :meth:`PollutionState.add_kernel_work`."""
+
+    def compute(self, instructions):
+        remaining = float(instructions)
+        core = self.core
+        pollution = core.pollution
+        while remaining > 0:
+            chunk = min(remaining, COMPUTE_QUANTUM)
+            ipc = (self.cpu.base_user_ipc * self.ipc_scale) * pollution.ipc_factor() \
+                * core.smt_factor()
+            cycles = chunk / ipc
+            core.state = CoreState.USER
+            yield cycles / self.cpu.freq_ghz
+            self.perf.user_instructions += chunk
+            self.perf.user_cycles += cycles
+            for event, rate in pollution.miss_rates().items():
+                self.perf.miss_events[event] += (chunk / 1000.0) * rate
+            pollution.decay(chunk)
+            remaining -= chunk
+        core.state = CoreState.IDLE
+
+    def kernel_phase(self, ns, name=""):
+        if ns <= 0:
+            return
+        self.core.state = CoreState.KERNEL
+        yield ns
+        cycles = ns * self.cpu.freq_ghz
+        instructions = cycles * self.cpu.kernel_ipc
+        self.perf.kernel_instructions += instructions
+        self.perf.kernel_cycles += cycles
+        self.core.pollution.add_kernel_work(instructions)
+        self.core.state = CoreState.STALLED
+
+
+_STEPS = st.lists(
+    st.one_of(
+        st.tuples(st.just("compute"), st.floats(min_value=0, max_value=90_000)),
+        st.tuples(st.just("kernel"), st.floats(min_value=-5.0, max_value=8_000.0)),
+    ),
+    min_size=1,
+    max_size=12,
+)
+
+
+@given(first=_STEPS, second=_STEPS, scale=st.sampled_from([1.0, 0.7]))
+@settings(max_examples=60, deadline=None)
+def test_inlined_pollution_math_is_bit_identical(first, second, scale):
+    """Two SMT siblings interleaving compute and kernel phases end with the
+    same clock, counters and pollution, float for float, as threads that
+    call the helpers."""
+    outcomes = []
+    for thread_class in (ThreadContext, _ReferenceThread):
+        sim = Simulator()
+        cpu = CpuConfig(physical_cores=1, smt_ways=2)
+        complex_ = CpuComplex(sim, cpu)
+        threads = [
+            thread_class(sim, f"t{lane}", FakeProcess(), complex_.logical_core(lane), cpu)
+            for lane in (0, 1)
+        ]
+        times = []
+
+        def body(thread, steps):
+            thread.ipc_scale = scale
+            for kind, amount in steps:
+                if kind == "compute":
+                    yield from thread.compute(amount)
+                else:
+                    yield from thread.kernel_phase(amount)
+                times.append((thread.name, sim.now))
+
+        for thread, steps in zip(threads, (first, second)):
+            spawn(sim, body(thread, steps))
+        sim.run()
+        outcomes.append((
+            times,
+            complex_.physical_cores[0].pollution.value,
+            [(t.perf.user_instructions, t.perf.user_cycles, t.perf.kernel_instructions,
+              t.perf.kernel_cycles, dict(t.perf.miss_events)) for t in threads],
+        ))
+    assert outcomes[0] == outcomes[1]

@@ -160,3 +160,85 @@ class TestMetadataConsistency:
                 assert decoded.pfn not in free, (
                     f"PTE for vpn {vpn:#x} maps freed frame {decoded.pfn}"
                 )
+
+
+# ----------------------------------------------------------------------
+# the checker's raw-bit page-table pass against a decode_pte reference
+# ----------------------------------------------------------------------
+def _reference_page_table_check(system):
+    """Invariant 4 written over ``decode_pte``: its violations and counts."""
+    kernel = system.kernel
+    notes = []
+    tracked = set(kernel._page_info)
+    pending = set()
+    free = set(kernel.frame_pool._free)
+    for process in kernel.processes:
+        for vpn, value in process.page_table.iter_populated():
+            decoded = decode_pte(value)
+            if not decoded.present:
+                continue
+            if decoded.pfn in free:
+                notes.append(f"{process.name}: PTE for vpn {vpn:#x} maps freed frame "
+                             f"{decoded.pfn}")
+            if decoded.lba_bit and decoded.pfn not in tracked:
+                pending.add(decoded.pfn)
+    for pfn in sorted(kernel._page_info):
+        page = kernel._page_info[pfn]
+        pte = decode_pte(page.process.page_table.get_pte(page.vaddr))
+        if not pte.present or pte.pfn != pfn:
+            notes.append(f"OS tracks PFN {pfn} at {page.vaddr:#x} but the PTE does not "
+                         f"map it (present={pte.present} pfn={pte.pfn})")
+    queued = sum(queue.occupancy for queue in kernel.iter_free_queues())
+    used = kernel.frame_pool.used_frames
+    accounted = len(tracked) + len(pending) + queued
+    if used != accounted:
+        notes.append(
+            f"frame leak: pool says {used} frames in use, owners account for "
+            f"{accounted} (resident={len(tracked)} pending-sync={len(pending)} "
+            f"queued={queued}; resident sample {sorted(tracked)[:8]} "
+            f"pending sample {sorted(pending)[:8]})"
+        )
+    return notes, sorted(pending)
+
+
+@pytest.mark.parametrize("seed", [3, 11])
+def test_checker_report_matches_decode_reference_on_corrupt_state(seed):
+    """Seeded corruption (a freed mapped frame, a cleared PTE, a PTE moved
+    to another frame, a pending-sync PTE turned conventional, a leaked
+    frame) gives the report the decode-based reference gives, line for
+    line."""
+    from repro.faults.invariants import check_invariants
+
+    system, thread, vma = build_mapped_system(
+        PagingMode.HWDP, total_frames=128, file_pages=256, kpted_period_ns=10**9
+    )
+    touch_pages(system, thread, vma, list(range(80)))
+    sync = system.spawn(system.kpted.sync_pass(), "sync")
+    while not sync.finished:
+        system.sim.step()
+    touch_pages(system, thread, vma, list(range(80, 120)))  # left pending
+    quiesce(system)
+    kernel = system.kernel
+    table = thread.process.page_table
+    rng = np.random.default_rng(seed)
+    tracked = sorted(kernel._page_info)
+    freed, cleared, moved = (int(p) for p in rng.choice(tracked, 3, replace=False))
+    kernel.frame_pool.free(freed)
+    table.set_pte(kernel._page_info[cleared].vaddr, 0)
+    moved_vaddr = kernel._page_info[moved].vaddr
+    table.set_pte(moved_vaddr, table.get_pte(moved_vaddr) ^ (1 << 12))
+    pending = [
+        vpn for vpn, value in table.iter_populated()
+        if pte_status(value) is PteStatus.RESIDENT_PENDING_SYNC
+    ]
+    assert pending, "the scenario needs hardware installs kpted has not synced"
+    vaddr = int(rng.choice(pending)) << PAGE_SHIFT
+    table.set_pte(vaddr, table.get_pte(vaddr) & ~(1 << 10))
+    kernel.frame_pool.alloc()  # owned by nobody
+
+    report = check_invariants(system)
+    notes, pending_pfns = _reference_page_table_check(system)
+    assert len(notes) == 4 and notes[-1].startswith("frame leak: ")
+    assert report.violations == notes
+    assert report.observed["pending_sync"] == len(pending_pfns)
+    assert report.observed["pending_pfns"] == pending_pfns

@@ -231,6 +231,76 @@ def test_run_timeline_is_valid_chrome_trace(tmp_path):
     assert any(e["name"] == "worker_died" for e in instants)
 
 
+def test_run_timeline_gives_overlapping_attempts_their_own_lanes(tmp_path, monkeypatch):
+    """Cold forked cells share the worker ``cold`` and overlap; each goes on
+    the first lane of its worker that is free at its start."""
+    from repro.experiments import journal as journal_module
+
+    clock = iter([100.0 + step for step in range(100)])
+    stamps = {}
+
+    def now():
+        return stamps.pop("next", None) or next(clock)
+
+    monkeypatch.setattr(journal_module, "_now", now)
+    journal = RunJournal.create(
+        scale=SCALE, jobs=3, specs=["alpha"], run_id="lanes", root=tmp_path,
+        argv=["--only", "alpha"],
+    )
+    keys = ["a", "b", "c", "d", "e"]
+    journal.record_cells("alpha", "fp-alpha", [(key, {"x": key}) for key in keys])
+    # (key, worker, dispatched, done) in seconds after the header at 100.0.
+    attempts = [
+        ("a", "cold", 1.0, 5.0),
+        ("b", "cold", 2.0, 7.0),  # inside a's span, ends after it
+        ("c", "cold", 3.0, 4.0),  # nests in both: still a lane of its own
+        ("d", "cold", 6.0, 9.0),  # a's lane is free again
+        ("e", "w1", 2.5, 8.0),  # another worker, its own track
+    ]
+    events = sorted(
+        [(start, "start", key, worker) for key, worker, start, _ in attempts]
+        + [(end, "end", key, worker) for key, worker, _, end in attempts]
+    )
+    for ts, kind, key, worker in events:
+        stamps["next"] = 100.0 + ts
+        if kind == "start":
+            journal.cell_dispatched("alpha", key, 1, worker)
+        else:
+            journal.cell_done("alpha", key, 1, 0.1, worker=worker)
+    journal.close()
+
+    trace = run_timeline(load_state(tmp_path / "lanes"))
+    assert validate_chrome_trace(trace) == []
+    names = {
+        event["tid"]: event["args"]["name"]
+        for event in trace["traceEvents"]
+        if event["ph"] == "M" and event["name"] == "thread_name"
+    }
+    lanes = {
+        event["name"].split("#")[1]: names[event["tid"]]
+        for event in trace["traceEvents"] if event["ph"] == "X"
+    }
+    assert lanes == {"a": "cold", "b": "cold #2", "c": "cold #3", "d": "cold",
+                     "e": "w1"}
+
+
+def test_validate_chrome_trace_reports_partial_overlap_on_one_track():
+    def slice_(ts, dur, tid=1):
+        return {"ph": "X", "name": "s", "ts": ts, "dur": dur, "pid": 1, "tid": tid}
+
+    nested = [slice_(0.0, 10.0), slice_(2.0, 3.0), slice_(10.0, 1.0), slice_(0.1, 9.9)]
+    assert validate_chrome_trace({"traceEvents": nested}) == []
+    apart = [slice_(0.0, 10.0), slice_(5.0, 10.0, tid=2)]
+    assert validate_chrome_trace({"traceEvents": apart}) == []
+    crossing = [slice_(0.0, 10.0), slice_(5.0, 10.0)]
+    [problem] = validate_chrome_trace({"traceEvents": crossing})
+    assert "traceEvents[1]" in problem and "traceEvents[0]" in problem
+    # Float rounding where one slice starts as the last one ends is not
+    # an overlap: 0.1 + 0.2 > 0.3.
+    touching = [slice_(0.1, 0.2), slice_(0.3, 1.0)]
+    assert validate_chrome_trace({"traceEvents": touching}) == []
+
+
 # ----------------------------------------------------------------------
 # cache hygiene (quarantine + atomic put)
 # ----------------------------------------------------------------------

@@ -1,6 +1,11 @@
 """Tests for the extended MMU walker and kthread behaviour."""
 
+import dataclasses
+from types import SimpleNamespace
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.config import CpuConfig, PagingMode
 from repro.cpu import CpuComplex, ThreadContext
@@ -10,11 +15,12 @@ from repro.sim import Simulator, spawn
 from repro.vm import (
     PageTable,
     PteStatus,
+    decode_pte,
     make_lba_pte,
     make_present_pte,
     pte_status,
 )
-from repro.vm.mmu import TranslationKind
+from repro.vm.mmu import Mmu, TranslationKind
 
 from tests.helpers import build_mapped_system, touch_pages
 
@@ -185,3 +191,64 @@ class TestKpoold:
         system.kernel.stop()
         system.sim.run(until=system.sim.now + 10_000_000.0)
         assert all(process.finished for process in system._kthread_processes)
+
+
+# ----------------------------------------------------------------------
+# raw-bit branch tests against decode_pte
+# ----------------------------------------------------------------------
+_ANY_PTE = st.integers(min_value=0, max_value=(1 << 64) - 1)
+
+
+@given(value=_ANY_PTE, installed=_ANY_PTE, smu_attached=st.booleans(),
+       is_write=st.booleans())
+@settings(max_examples=300, deadline=None)
+def test_translate_branch_matches_decode(value, installed, smu_attached, is_write):
+    """For any leaf value, the walker's raw-bit tests pick the branch that
+    ``decode_pte(value).present``/``.status`` select, hand the SMU the same
+    decoded fields, and fill the TLB with the same permission bit."""
+    mmu = Mmu(Simulator(), 0)
+    process = FakeProcess()
+    vaddr = 0x10_0000_0000
+    process.page_table.set_pte(vaddr, value)
+    calls = []
+
+    def os_handler(thread, va, walk, write):
+        calls.append(("os", walk.pte))
+        process.page_table.set_pte(va, installed)
+        return 77
+        yield  # a generator, like the kernel's handler
+
+    class FakeSmu:
+        def handle_miss(self, walk, decoded, thread):
+            calls.append(("smu", dataclasses.astuple(decoded)))
+            return 55
+            yield
+
+    mmu.fault_handler = os_handler
+    mmu.smu = FakeSmu() if smu_attached else None
+    translate = mmu.translate(SimpleNamespace(process=process), vaddr, is_write)
+    assert next(translate) == Mmu.WALK_LATENCY_NS
+    decoded = decode_pte(value)
+    hardware = decoded.status is PteStatus.NON_RESIDENT_HW and smu_attached
+    if (decoded.present or hardware) and is_write and not decoded.writable:
+        with pytest.raises(ProtectionFault):
+            translate.send(None)
+        assert calls == []
+        return
+    with pytest.raises(StopIteration) as stop:
+        translate.send(None)
+    translation = stop.value.value
+    vpn = vaddr >> PAGE_SHIFT
+    if decoded.present:
+        assert calls == []
+        assert translation.kind is TranslationKind.WALK
+        assert mmu.tlb.lookup(vpn) == (decoded.pfn, decoded.writable)
+    elif hardware:
+        assert calls == [("smu", dataclasses.astuple(decoded))]
+        assert translation.kind is TranslationKind.HW_MISS
+        assert mmu.tlb.lookup(vpn) == (55, decoded.writable)
+    else:
+        assert calls == [("os", value)]
+        assert translation.kind is TranslationKind.OS_FAULT
+        after = decode_pte(installed)
+        assert mmu.tlb.lookup(vpn) == (77, after.writable if after.present else True)

@@ -1,11 +1,19 @@
 """Focused tests for fault-handler internals across the three paths."""
 
-import pytest
+import dataclasses
+from types import SimpleNamespace
 
-from repro.config import PagingMode
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from repro.config import PagingMode, SystemConfig
 from repro.mem.address import PAGE_SHIFT
-from repro.vm import PteStatus, make_present_pte, pte_status
+from repro.os.fault import PageFaultHandler
+from repro.sim import Counter, Simulator
+from repro.vm import PageTable, PteStatus, decode_pte, make_present_pte, pte_status
 from repro.vm.mmu import TranslationKind
+from repro.vm.pte import ANON_FIRST_TOUCH_LBA
 
 from tests.helpers import build_mapped_system, touch_pages
 
@@ -196,3 +204,99 @@ class TestHwdpFallbackDetails:
             # Small extra: the aborted SMU attempt + re-walk; far below a
             # serialised refill (which would add ~hundreds of µs).
             assert result.miss_latency_ns < osdp_total * 1.25
+
+
+# ----------------------------------------------------------------------
+# raw-bit branch tests against decode_pte
+# ----------------------------------------------------------------------
+_ANY_PTE = st.integers(min_value=0, max_value=(1 << 64) - 1)
+_VADDR = 0x10_0000_0000
+
+
+def _bare_handler(mode):
+    """A fault handler over a stub kernel, its inner paths recorded."""
+    kernel = SimpleNamespace(
+        sim=Simulator(),
+        config=SystemConfig(mode=mode),
+        counters=Counter(),
+        swap_file=SimpleNamespace(lba_of_page=lambda page: 1000 + page),
+    )
+    handler = PageFaultHandler(kernel)
+    calls = []
+
+    def recorder(name, result):
+        def path(*args, **kwargs):
+            calls.append((name, args[2:], kwargs))
+            return result
+            yield
+
+        return path
+
+    handler._swdp_fault = recorder("swdp", 1)
+    handler._coalesced_os_fault = recorder("os", 2)
+    handler._major_fault = recorder("major", 3)
+    handler._minor_fault = recorder("minor", 4)
+    return handler, calls
+
+
+def _stub_thread(value, vma):
+    table = PageTable()
+    table.set_pte(_VADDR, value)
+    process = SimpleNamespace(pid=1, name="p", page_table=table,
+                              find_vma=lambda vaddr: vma)
+    return SimpleNamespace(
+        process=process, name="t", active_span=None,
+        kernel_phase=lambda ns, name="": iter(()),
+    )
+
+
+def _finish(generator):
+    with pytest.raises(StopIteration) as stop:
+        next(generator)
+    return stop.value.value
+
+
+@given(value=_ANY_PTE, swdp=st.booleans(), fastmap=st.booleans())
+@settings(max_examples=300, deadline=None)
+def test_dispatch_branch_matches_decode(value, swdp, fastmap):
+    """The exception entry's raw-bit tests pick the branch that
+    ``decode_pte`` selects: spurious (present), SWDP emulation, or the OS
+    path with the refill flag set exactly for NON_RESIDENT_HW."""
+    handler, calls = _bare_handler(PagingMode.SWDP if swdp else PagingMode.OSDP)
+    vma = SimpleNamespace(is_fastmap=fastmap)
+    result = _finish(handler._dispatch(_stub_thread(value, vma), _VADDR, None, False))
+    decoded = decode_pte(value)
+    hardware = decoded.status is PteStatus.NON_RESIDENT_HW
+    if decoded.present:
+        assert (result, calls) == (decoded.pfn, [])
+    elif swdp and fastmap and hardware:
+        assert result == 1
+        [(name, (_, passed), _)] = calls
+        assert name == "swdp"
+        assert dataclasses.astuple(passed) == dataclasses.astuple(decoded)
+    else:
+        assert (result, calls) == (2, [("os", (vma, hardware), {})])
+
+
+@given(value=_ANY_PTE, file_backed=st.booleans())
+@settings(max_examples=300, deadline=None)
+def test_coalesced_fault_swap_lba_matches_decode(value, file_backed):
+    """A file-backed fault is major without reading the PTE; an anonymous
+    one takes its swap LBA from either encoding, as decode_pte reads it."""
+    handler, calls = _bare_handler(PagingMode.OSDP)
+    vma = SimpleNamespace(file=object() if file_backed else None)
+    coalesced = PageFaultHandler._coalesced_os_fault  # the real one, not the stub
+    _finish(coalesced(handler, _stub_thread(value, vma), _VADDR, vma, False))
+    decoded = decode_pte(value)
+    swap_lba = None
+    if not file_backed:
+        if (decoded.status is PteStatus.NON_RESIDENT_HW
+                and decoded.lba != ANON_FIRST_TOUCH_LBA):
+            swap_lba = decoded.lba
+        elif decoded.status is PteStatus.NON_RESIDENT_OS and decoded.pfn > 0:
+            swap_lba = 1000 + decoded.pfn - 1
+    if file_backed or swap_lba is not None:
+        assert calls == [("major", (vma, False), {"swap_lba": swap_lba})]
+    else:
+        assert calls == [("minor", (vma,), {})]
+    assert handler.inflight_faults == 0

@@ -224,3 +224,74 @@ class TestPageCache:
         assert cache.remove(file, 1) == 5
         assert cache.remove(file, 1) is None
         assert cache.lookup(file, 1) is None
+
+
+# ----------------------------------------------------------------------
+# the clock scan against the peek-then-delete loop it replaced
+# ----------------------------------------------------------------------
+class _ReferenceClock(LruLists):
+    """``select_victims`` taking each list head by peek and delete."""
+
+    def select_victims(self, count):
+        victims = []
+        rotations = 0
+        limit = 2 * (len(self._inactive) + len(self._active)) + count
+        while len(victims) < count and rotations < limit:
+            rotations += 1
+            if self._inactive:
+                pfn, page = next(iter(self._inactive.items()))
+                del self._inactive[pfn]
+                if page.pinned:
+                    self._inactive[pfn] = page
+                    continue
+                if page.referenced:
+                    page.referenced = False
+                    self._inactive[pfn] = page
+                    continue
+                victims.append(page)
+            elif self._active:
+                pfn, page = next(iter(self._active.items()))
+                del self._active[pfn]
+                page.active = False
+                page.referenced = False
+                self._inactive[pfn] = page
+            else:
+                break
+        self.reclaims += len(victims)
+        return victims
+
+
+def _clock_state(lru):
+    def pages(lists):
+        return [(pfn, p.active, p.referenced, p.pinned) for pfn, p in lists.items()]
+
+    return pages(lru._inactive), pages(lru._active), lru.reclaims
+
+
+@given(
+    pages=st.lists(
+        st.tuples(st.integers(min_value=0, max_value=2), st.booleans()),
+        min_size=0,
+        max_size=30,
+    ),
+    counts=st.lists(st.integers(min_value=0, max_value=12), min_size=1, max_size=4),
+)
+@settings(max_examples=150, deadline=None)
+def test_property_clock_victims_match_reference(pages, counts):
+    """Victim order and both lists' order and flags match, with pinned,
+    referenced and active pages mixed, over several scans."""
+    clocks = [LruLists(), _ReferenceClock()]
+    for lru in clocks:
+        for pfn, (touches, pinned) in enumerate(pages):
+            page = make_page(pfn)
+            page.pinned = pinned
+            lru.insert(page)
+            for _ in range(touches):
+                lru.touch(pfn)
+    for count in counts:
+        victims = [[page.pfn for page in lru.select_victims(count)] for lru in clocks]
+        assert victims[0] == victims[1]
+        assert _clock_state(clocks[0]) == _clock_state(clocks[1])
+        for lru in clocks:
+            for pfn in victims[0]:
+                lru.touch(pfn + 1)  # keep the lists moving between scans

@@ -4,6 +4,8 @@ from dataclasses import replace
 from types import SimpleNamespace
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.config import BLOCKS_PER_PAGE, PagingMode
 from repro.core.free_page_queue import FreePageQueue
@@ -19,6 +21,9 @@ from repro.core.system import build_system
 from repro.errors import SmuError
 from repro.faults import FaultKind, FaultPlan, FaultRule, assert_invariants
 from repro.os.vma import MmapFlags
+from repro.sim import Simulator
+from repro.vm import PteStatus, decode_pte
+from repro.vm.pte import is_anon_first_touch
 
 from tests.helpers import tiny_config, touch_pages
 
@@ -313,3 +318,35 @@ class TestPrefetchFrameReturn:
 
         with pytest.raises(IoError):
             touch_pages(system, thread, vma, [2])
+
+
+# ----------------------------------------------------------------------
+# the candidate filter's raw-bit tests against decode_pte
+# ----------------------------------------------------------------------
+@given(value=st.integers(min_value=0, max_value=(1 << 64) - 1))
+@settings(max_examples=300, deadline=None)
+def test_candidate_filter_matches_decode(value):
+    """A candidate is issued exactly when ``decode_pte`` calls it
+    NON_RESIDENT_HW and not a first-touch anonymous marker, and the PMSHR
+    entry carries the decoded device ID and LBA."""
+    allocated = []
+    smu = SimpleNamespace(
+        sim=Simulator(),
+        kernel=SimpleNamespace(free_queue_for=lambda core: SimpleNamespace(
+            occupancy=8, pop=lambda: SimpleNamespace(empty=False, pfn=5))),
+        pmshr=SimpleNamespace(
+            lookup=lambda addr: None, is_full=False,
+            allocate=lambda *args: allocated.append(args) or SimpleNamespace(
+                index=0, pfn=None)),
+    )
+    prefetcher = SequentialReadahead(smu, 1)
+    table = SimpleNamespace(read_entry=lambda addr: value)
+    walk = SimpleNamespace(pmd_entry_addr=16, pud_entry_addr=24)
+    prefetcher._issue_prefetches(walk, table, 0, iter([4096]))
+    decoded = decode_pte(value)
+    if decoded.status is PteStatus.NON_RESIDENT_HW and not is_anon_first_touch(decoded):
+        assert allocated == [(4096, 16, 24, decoded.device_id, decoded.lba)]
+        assert prefetcher.stats.get("issued") == 1
+    else:
+        assert allocated == []
+        assert prefetcher.stats.get("issued") == 0

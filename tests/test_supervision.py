@@ -33,6 +33,7 @@ from repro.experiments.engine import (
 from repro.experiments.journal import RunJournal, find_run, load_state
 from repro.experiments.registry import Cell, ExperimentSpec
 from repro.experiments.runner import PAPER_SHAPE, QUICK, ExperimentResult
+from repro.obs.export import run_timeline, validate_chrome_trace
 
 REPO_ROOT = Path(__file__).parent.parent
 GOLDEN = REPO_ROOT / "benchmarks" / "output"
@@ -431,6 +432,9 @@ def test_cli_sigkill_then_resume_matches_golden(tmp_path):
     final = load_state(find_run("chaos", tmp_path / "runs"))
     assert final.end_state == "complete"
     assert final.unfinished_cells() == []
+    # Two cells at a time ran as worker "cold": the host timeline must
+    # still draw them without partially overlapping slices.
+    assert validate_chrome_trace(run_timeline(final)) == []
 
 
 def _proc_stat(pid):

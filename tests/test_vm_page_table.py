@@ -15,8 +15,8 @@ from repro.vm import (
     make_present_pte,
     pte_status,
 )
-from repro.vm.page_table import TABLE_REGION_BASE
-from repro.vm.pte import LBA_BIT
+from repro.vm.page_table import TABLE_REGION_BASE, ScanReport, WalkResult
+from repro.vm.pte import LBA_BIT, STATE_MASK
 
 PAGE = 1 << PAGE_SHIFT
 
@@ -329,3 +329,254 @@ def test_entry_access_by_address_hits_the_walked_entries():
     table.write_entry(walk.pte_addr, 0)
     assert table.get_pte(_MAPPED[0]) == 0
     assert table.populated_ptes == populated - 1
+
+
+# ----------------------------------------------------------------------
+# the leaf index against a plain radix descent
+# ----------------------------------------------------------------------
+class _RadixReference:
+    """A 4-level radix table walked by descending every level on every
+    access: what :class:`PageTable` computes without its leaf index.
+
+    Table pages are numbered in allocation order from
+    ``TABLE_REGION_BASE``, like ``PageTable(asid=0)``'s, so entry addresses
+    must agree exactly.
+    """
+
+    _SHIFTS = ((2, 39), (1, 30), (0, 21))
+
+    def __init__(self):
+        self.pages = 0
+        self.populated = 0
+        self.by_base = {}
+        self.root = self._node()
+
+    def _node(self):
+        node = {"base": TABLE_REGION_BASE + self.pages * PAGE, "entries": [0] * 512,
+                "children": {}, "leaf": False}
+        self.pages += 1
+        self.by_base[node["base"]] = node
+        return node
+
+    @staticmethod
+    def _check(vaddr):
+        if not 0 <= vaddr < VA_LIMIT:
+            raise AddressError(f"virtual address {vaddr:#x} outside 48-bit space")
+
+    def walk(self, vaddr):
+        self._check(vaddr)
+        node, upper, touched = self.root, {}, 1
+        for below, shift in self._SHIFTS:
+            index = (vaddr >> shift) & 511
+            if below < 2:  # a PUD (below=1) or PMD (below=0) entry
+                upper[below] = node["base"] + index * 8
+            child = node["children"].get(index)
+            if child is None:
+                return WalkResult(vaddr, 0, None, upper.get(0), upper.get(1), touched)
+            node, touched = child, touched + 1
+        index = (vaddr >> 12) & 511
+        return WalkResult(vaddr, node["entries"][index], node["base"] + index * 8,
+                          upper[0], upper[1], 4)
+
+    def get_pte(self, vaddr):
+        return self.walk(vaddr).pte
+
+    def set_pte(self, vaddr, value):
+        self._check(vaddr)
+        node = self.root
+        for below, shift in self._SHIFTS:
+            index = (vaddr >> shift) & 511
+            child = node["children"].get(index)
+            if child is None:
+                child = node["children"][index] = self._node()
+                child["leaf"] = below == 0
+                node["entries"][index] = make_present_pte(child["base"] >> PAGE_SHIFT)
+            node = child
+        walk = self.walk(vaddr)
+        self.write_entry(walk.pte_addr, value)
+        walk.pte = value
+        return walk
+
+    def clear_pte(self, vaddr):
+        walk = self.walk(vaddr)
+        if walk.pte_addr is not None and walk.pte != 0:
+            self.write_entry(walk.pte_addr, 0)
+        return walk.pte
+
+    def _node_at(self, addr):
+        node = self.by_base.get(addr & ~(PAGE - 1))
+        if node is None:
+            raise PageTableError(f"no page-table page at address {addr:#x}")
+        if addr & 7:
+            raise PageTableError(f"misaligned entry address {addr:#x}")
+        return node
+
+    def read_entry(self, addr):
+        return self._node_at(addr)["entries"][(addr & (PAGE - 1)) >> 3]
+
+    def write_entry(self, addr, value):
+        node = self._node_at(addr)
+        index = (addr & (PAGE - 1)) >> 3
+        previous, node["entries"][index] = node["entries"][index], value
+        if node["leaf"]:
+            self.populated += (value != 0) - (previous != 0)
+
+
+#: 2 MB regions, each one leaf table: two sharing a PMD table, one under
+#: another PUD entry, one in another PGD slot, and the first and last
+#: leaves of the address space.
+_LEAF_REGIONS = [
+    0x10_0000_0000, 0x10_0020_0000, 0x10_4000_0000,
+    0x4000_0000_0000, 0, VA_LIMIT - (1 << 21),
+]
+_OUTSIDE = [-1, -PAGE, VA_LIMIT, VA_LIMIT + PAGE, 1 << 64]
+_PTE_VALUES = st.one_of(
+    st.just(0),
+    st.integers(min_value=1, max_value=500).map(make_present_pte),
+    st.integers(min_value=0, max_value=500).map(make_lba_pte),
+    st.integers(min_value=0, max_value=(1 << 64) - 1),
+)
+
+
+def _outcome(call):
+    try:
+        return ("ok", call())
+    except (AddressError, PageTableError) as exc:
+        return (type(exc).__name__, str(exc))
+
+
+@given(data=st.data())
+@settings(max_examples=150, deadline=None)
+def test_property_leaf_index_matches_radix_descent(data):
+    """Random set/get/walk/clear/read/write sequences over 1-4 leaf tables,
+    unallocated upper levels and out-of-range addresses give the same
+    results, errors and final table contents as the plain descent."""
+    regions = data.draw(
+        st.lists(st.sampled_from(_LEAF_REGIONS), min_size=1, max_size=4, unique=True)
+    )
+
+    def in_region(bases):
+        return st.builds(
+            lambda base, page, offset: base + page * PAGE + offset,
+            st.sampled_from(bases),
+            st.integers(min_value=0, max_value=511),
+            st.sampled_from([0, 8, 0x123, PAGE - 1]),
+        )
+
+    mapped = in_region(regions)
+    anywhere = st.one_of(in_region(_LEAF_REGIONS), st.sampled_from(_OUTSIDE))
+    table, reference = PageTable(), _RadixReference()
+    entry_addrs = [TABLE_REGION_BASE]
+    bogus = [0xDEAD000, TABLE_REGION_BASE - 8, TABLE_REGION_BASE + (1 << 30)]
+    for _ in range(data.draw(st.integers(min_value=1, max_value=40))):
+        op = data.draw(st.sampled_from(["set", "set", "get", "walk", "clear",
+                                        "read", "write"]))
+        if op in ("set", "get", "walk", "clear"):
+            vaddr = data.draw(mapped if op == "set" else anywhere)
+            args = (vaddr, data.draw(_PTE_VALUES)) if op == "set" else (vaddr,)
+            method = {"set": "set_pte", "get": "get_pte", "walk": "walk",
+                      "clear": "clear_pte"}[op]
+        else:
+            addr = data.draw(st.one_of(
+                st.sampled_from(entry_addrs).map(lambda a: a + data.draw(
+                    st.sampled_from([0, 0, 0, 1, 4]))),
+                st.sampled_from(bogus),
+            ))
+            method = "read_entry" if op == "read" else "write_entry"
+            args = (addr,) if op == "read" else (addr, data.draw(_PTE_VALUES))
+        got = _outcome(lambda: getattr(table, method)(*args))
+        want = _outcome(lambda: getattr(reference, method)(*args))
+        assert got == want, (method, args)
+        if want[0] == "ok" and isinstance(want[1], WalkResult):
+            entry_addrs.extend(
+                addr for addr in (want[1].pte_addr, want[1].pmd_entry_addr,
+                                  want[1].pud_entry_addr) if addr is not None
+            )
+    assert table.populated_ptes == reference.populated
+    assert table.table_pages_allocated == reference.pages
+    for base, node in reference.by_base.items():
+        assert [table.read_entry(base + 8 * i) for i in range(512)] == node["entries"]
+    assert list(table.iter_populated()) == [
+        (vpn, value) for vpn, value in _reference_populated(reference)
+    ]
+
+
+def _reference_populated(reference):
+    """``iter_populated`` over the reference: PGD slots sorted, as PageTable."""
+    for i3, pud in sorted(reference.root["children"].items()):
+        for i2, pmd in sorted(pud["children"].items()):
+            for i1, leaf in sorted(pmd["children"].items()):
+                for i0, value in enumerate(leaf["entries"]):
+                    if value:
+                        yield (i3 << 27) | (i2 << 18) | (i1 << 9) | i0, value
+
+
+def _reference_scan(table):
+    """The kpted scan as a per-entry loop: LBA bits cleared before each
+    descent, every PTE of a marked leaf read one at a time."""
+    report = ScanReport()
+    for pgd_index, pud_table in sorted(table.root.children.items()):
+        for pud_index in list(pud_table.children):
+            report.upper_visited += 1
+            if not pud_table.entries[pud_index] & LBA_BIT:
+                continue
+            pud_table.entries[pud_index] &= ~LBA_BIT
+            pmd_table = pud_table.children[pud_index]
+            for pmd_index in list(pmd_table.children):
+                report.upper_visited += 1
+                if not pmd_table.entries[pmd_index] & LBA_BIT:
+                    continue
+                pmd_table.entries[pmd_index] &= ~LBA_BIT
+                leaf = pmd_table.children[pmd_index]
+                for pte_index in range(ENTRIES_PER_TABLE):
+                    value = leaf.entries[pte_index]
+                    report.ptes_visited += 1
+                    if value & 1 and value & LBA_BIT:
+                        vpn = (pgd_index << 27) | (pud_index << 18) | (pmd_index << 9)
+                        report.pending.append(
+                            (vpn | pte_index, leaf.base_addr + pte_index * 8)
+                        )
+    return report
+
+
+@given(
+    pages=st.lists(
+        st.tuples(
+            st.sampled_from(_LEAF_REGIONS[:4]),
+            st.integers(min_value=0, max_value=511),
+            st.sampled_from(["pending", "resident", "lba", "zero", "mark-only"]),
+        ),
+        min_size=1,
+        max_size=40,
+    )
+)
+@settings(max_examples=80, deadline=None)
+def test_property_scan_matches_per_entry_loop(pages):
+    """Pending order, visit counts and the PUD/PMD LBA bits cleared equal the
+    per-entry loop's, with marks on leaves that hold nothing pending."""
+    tables = [PageTable(), PageTable()]
+    for table in tables:
+        for i, (base, page, kind) in enumerate(pages):
+            vaddr = base + page * PAGE
+            if kind == "resident":
+                table.set_pte(vaddr, make_present_pte(i + 1))
+            elif kind == "zero":
+                table.set_pte(vaddr, 0)
+            elif kind == "mark-only":
+                table.set_pte(vaddr, make_present_pte(i + 1))
+                table.mark_sync_pending(vaddr)
+            else:
+                table.set_pte(vaddr, make_lba_pte(i + 1))
+                if kind == "pending":
+                    walk = table.walk(vaddr)
+                    table.write_entry(walk.pte_addr, hw_install_frame(walk.pte, i + 1))
+                    table.mark_sync_pending(vaddr)
+    fast, slow = tables[0].collect_pending_sync(), _reference_scan(tables[1])
+    assert fast.pending == slow.pending
+    assert (fast.ptes_visited, fast.upper_visited) == (slow.ptes_visited, slow.upper_visited)
+    assert all(value & STATE_MASK == STATE_MASK
+               for value in (tables[0].read_entry(addr) for _, addr in fast.pending))
+    for base in tables[1]._nodes_by_base:
+        assert [tables[0].read_entry(base + 8 * i) for i in range(512)] == [
+            tables[1].read_entry(base + 8 * i) for i in range(512)
+        ]
